@@ -21,6 +21,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Benchmark build + tests: perfbench is its own Cargo workspace that
+# drives crates/ through their public APIs only, so removing or
+# renaming an API the benchmark uses fails here, not at benchmark time.
+(cd perfbench && cargo test --release -q)
+
 # Fault-injection determinism gate: the same seeds must reproduce the
 # same faults, retries and recoveries byte-for-byte (E10 prints only
 # virtual-time/count columns, so any diff is a real regression).

@@ -1,6 +1,6 @@
-//! E11 — observability: deterministic distributed tracing, the node
-//! metrics registry and the per-node flight recorder, exercised end to
-//! end on a 24-node campus.
+//! E11 — observability: deterministic distributed tracing, the node's
+//! per-service metrics and the per-node flight recorder, exercised end
+//! to end on a 24-node campus.
 //!
 //! The workload is a condensed E2 + E10: first-wins component queries
 //! from every site, cross-site invocations against a spawned Counter,
@@ -350,7 +350,7 @@ pub fn run(seed: u64) -> E11Output {
         let _ = writeln!(report, "{}", ev.render());
     }
 
-    // -- metrics registry excerpt ------------------------------------
+    // -- node metrics excerpt ---------------------------------------
     let Some(observer) = w.node(HostId(18)) else {
         unreachable!("client node 18 is never crashed")
     };
@@ -375,13 +375,6 @@ pub fn run(seed: u64) -> E11Output {
     let cmds: Vec<String> =
         metrics.cmd_counts().into_iter().map(|(n, c)| format!("{n}={c}")).collect();
     let _ = writeln!(report, "driver commands: {}", cmds.join(" "));
-    let wall_samples = metrics
-        .registry()
-        .histograms()
-        .map(|(k, h)| format!("{k}: {} samples", h.count()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(report, "wall-ns histograms: {wall_samples}");
 
     // -- overhead: disabled tracer must not perturb the run -----------
     let (_, untraced) = workload(seed, Tracer::disabled());

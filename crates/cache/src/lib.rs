@@ -26,7 +26,7 @@
 use lc_des::SimTime;
 use std::collections::BTreeMap;
 
-/// Counters a cache accumulates; read by the node's metrics registry.
+/// Counters a cache accumulates; read through `NodeState::cache_stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a fresh entry.

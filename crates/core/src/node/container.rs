@@ -367,10 +367,8 @@ impl NodeCtx<'_, '_> {
             let over_deadline = adm.deadline_aware
                 && self.state.cfg.invoke.deadline.is_some_and(|d| backlog > d);
             self.sim.metrics().incr("admission.total");
-            self.state.metrics.note("admission.total");
             if backlog > adm.cpu_backlog_cap || over_deadline {
                 self.sim.metrics().incr("admission.shed");
-                self.state.metrics.note("admission.shed");
                 if dedup > SimTime::ZERO && reply_to.is_some() {
                     // Remember the refusal for the dedup window: the
                     // shed request stays shed even if retried after the
@@ -547,7 +545,8 @@ impl NodeCtx<'_, '_> {
             tracer.set_attr(s, "component", &info.component);
             tracer.set_attr(s, "to", &to.0.to_string());
         }
-        self.state.conts.migrations.insert(rid, PendingMigration { instance, sink, span });
+        let at = self.remote_write_deadline();
+        self.state.conts.migrations.insert_until(rid, PendingMigration { instance, sink, span }, at);
         let msg = CtrlMsg::MigrateIn {
             rid,
             origin: self.state.host,
@@ -563,6 +562,100 @@ impl NodeCtx<'_, '_> {
             tracer.set_current(prev);
         }
     }
+
+    /// When a remote spawn or migration started now gives up: one invoke
+    /// deadline from now, with the sweep that enforces it armed. `None`
+    /// (wait for the reply forever) when the invoke policy sets no
+    /// deadline.
+    fn remote_write_deadline(&mut self) -> Option<SimTime> {
+        let deadline = self.state.cfg.invoke.deadline?;
+        self.timer_in(deadline, Tick::CallSweep);
+        Some(self.now() + deadline)
+    }
+
+    /// Fail remote spawns and migrations whose deadline passed without a
+    /// `SpawnDone`/`MigrateDone` (a lost frame would otherwise leave the
+    /// driver's sink empty forever). A timed-out migration keeps the
+    /// instance at the origin; a late reply finds nothing to resume.
+    fn sweep_remote_writes(&mut self) {
+        let now = self.sim.now();
+        for (_, cont) in self.state.conts.spawns.take_expired(now) {
+            self.resume_spawn(cont, Err("remote spawn timed out".into()));
+        }
+        for (_, pm) in self.state.conts.migrations.take_expired(now) {
+            self.finish_migration(pm, Err("migration timed out".into()));
+        }
+    }
+
+    /// Hand a remote spawn's result to whatever was waiting on it.
+    fn resume_spawn(&mut self, cont: SpawnCont, result: Result<ObjectRef, String>) {
+        match cont {
+            SpawnCont::Sink(sink) => {
+                *sink.borrow_mut() = Some(result);
+            }
+            SpawnCont::Connect { instance, port, sink } => match result {
+                Ok(provider) => {
+                    self.connect_port(instance, &port, provider.clone());
+                    if let Some(s) = sink {
+                        *s.borrow_mut() = Some(Ok(provider));
+                    }
+                }
+                Err(e) => {
+                    if let Some(s) = sink {
+                        *s.borrow_mut() = Some(Err(e));
+                    }
+                }
+            },
+            SpawnCont::Assembly { name, sink, pending } => {
+                sink.borrow_mut().insert(name.clone(), result.clone());
+                let mut p = pending.borrow_mut();
+                if let Ok(objref) = result {
+                    p.refs.insert(name, objref);
+                }
+                p.outstanding -= 1;
+                let ready = p.outstanding == 0;
+                drop(p);
+                if ready {
+                    self.wire_assembly(pending);
+                }
+            }
+        }
+    }
+
+    /// Complete a migration at its origin: on success passivate the old
+    /// instance and forward late requests to the new one; on failure
+    /// (including a timeout) the instance stays here.
+    fn finish_migration(&mut self, pm: PendingMigration, result: Result<ObjectRef, String>) {
+        if let Some(s) = pm.span {
+            let tracer = self.state.tracer.clone();
+            if result.is_err() {
+                tracer.set_attr(s, "error", "migrate");
+            }
+            tracer.end(s, self.sim.now());
+        }
+        match &result {
+            Ok(new_ref) => {
+                // Passivate and remove the old instance; forward late
+                // requests.
+                if let Some(info) = self.state.registry.instance(pm.instance) {
+                    let old_oid = info.objref.key.oid;
+                    let component = info.component.clone();
+                    self.state.destroy_instance(pm.instance);
+                    self.state.forwards.insert(old_oid, new_ref.clone());
+                    // Deregister event: offers naming this node for the
+                    // component are now wrong.
+                    self.note_registry_change(&component);
+                }
+                self.sim.metrics().incr("migrate.completed");
+            }
+            Err(_) => {
+                self.sim.metrics().incr("migrate.failed");
+            }
+        }
+        if let Some(s) = pm.sink {
+            *s.borrow_mut() = Some(result);
+        }
+    }
 }
 
 /// Container-owned control traffic: `Spawn`, `SpawnDone`, `Subscribe`,
@@ -576,38 +669,11 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
             }
             ctx.send_ctrl(origin, CtrlMsg::SpawnDone { rid, result });
         }
-        CtrlMsg::SpawnDone { rid, result } => match ctx.state.conts.spawns.remove(&rid) {
-            None => {}
-            Some(SpawnCont::Sink(sink)) => {
-                *sink.borrow_mut() = Some(result);
+        CtrlMsg::SpawnDone { rid, result } => {
+            if let Some(cont) = ctx.state.conts.spawns.remove(&rid) {
+                ctx.resume_spawn(cont, result);
             }
-            Some(SpawnCont::Connect { instance, port, sink }) => match result {
-                Ok(provider) => {
-                    ctx.connect_port(instance, &port, provider.clone());
-                    if let Some(s) = sink {
-                        *s.borrow_mut() = Some(Ok(provider));
-                    }
-                }
-                Err(e) => {
-                    if let Some(s) = sink {
-                        *s.borrow_mut() = Some(Err(e));
-                    }
-                }
-            },
-            Some(SpawnCont::Assembly { name, sink, pending }) => {
-                sink.borrow_mut().insert(name.clone(), result.clone());
-                let mut p = pending.borrow_mut();
-                if let Ok(objref) = result {
-                    p.refs.insert(name, objref);
-                }
-                p.outstanding -= 1;
-                let ready = p.outstanding == 0;
-                drop(p);
-                if ready {
-                    ctx.wire_assembly(pending);
-                }
-            }
-        },
+        }
         CtrlMsg::Subscribe { producer, port, consumer, delivery_op } => {
             // Find the event type from the producer instance's ports.
             let event_id = ctx
@@ -653,35 +719,8 @@ pub(crate) fn handle_ctrl(ctx: &mut NodeCtx<'_, '_>, _from: HostId, msg: CtrlMsg
             }
         }
         CtrlMsg::MigrateDone { rid, result } => {
-            let Some(pm) = ctx.state.conts.migrations.remove(&rid) else { return };
-            if let Some(s) = pm.span {
-                let tracer = ctx.state.tracer.clone();
-                if result.is_err() {
-                    tracer.set_attr(s, "error", "migrate");
-                }
-                tracer.end(s, ctx.sim.now());
-            }
-            match &result {
-                Ok(new_ref) => {
-                    // Passivate and remove the old instance; forward
-                    // late requests.
-                    if let Some(info) = ctx.state.registry.instance(pm.instance) {
-                        let old_oid = info.objref.key.oid;
-                        let component = info.component.clone();
-                        ctx.state.destroy_instance(pm.instance);
-                        ctx.state.forwards.insert(old_oid, new_ref.clone());
-                        // Deregister event: offers naming this node for
-                        // the component are now wrong.
-                        ctx.note_registry_change(&component);
-                    }
-                    ctx.sim.metrics().incr("migrate.completed");
-                }
-                Err(_) => {
-                    ctx.sim.metrics().incr("migrate.failed");
-                }
-            }
-            if let Some(s) = pm.sink {
-                *s.borrow_mut() = Some(result);
+            if let Some(pm) = ctx.state.conts.migrations.remove(&rid) {
+                ctx.finish_migration(pm, result);
             }
         }
         _ => {}
@@ -707,7 +746,8 @@ pub(crate) fn handle_cmd(ctx: &mut NodeCtx<'_, '_>, cmd: NodeCmd) {
                 *sink.borrow_mut() = Some(r);
             } else {
                 let rid = ctx.state.conts.next_seq();
-                ctx.state.conts.spawns.insert(rid, SpawnCont::Sink(sink));
+                let at = ctx.remote_write_deadline();
+                ctx.state.conts.spawns.insert_until(rid, SpawnCont::Sink(sink), at);
                 let origin = ctx.state.host;
                 ctx.send_ctrl(
                     node,
@@ -788,7 +828,10 @@ impl NodeService for ContainerSvc {
             Tick::SendReply { to, id, result } => {
                 let _ = ctx.orb_reply(to, id, result);
             }
-            Tick::CallSweep => ctx.sweep_calls(),
+            Tick::CallSweep => {
+                ctx.sweep_calls();
+                ctx.sweep_remote_writes();
+            }
             Tick::CallRetry(rid) => ctx.retry_call(rid),
             Tick::DedupSweep => {
                 let now = ctx.now();

@@ -44,13 +44,17 @@ impl<K: Ord, V> Default for Continuations<K, V> {
 impl<K: Ord + Clone, V> Continuations<K, V> {
     /// Park a continuation that never expires (resumed only by a message).
     pub fn insert(&mut self, key: K, value: V) {
-        self.entries.insert(key, Entry { value, deadline: None });
-        self.high_water = self.high_water.max(self.entries.len());
+        self.insert_until(key, value, None);
     }
 
     /// Park a continuation that expires at `deadline` if not resumed.
     pub fn insert_with_deadline(&mut self, key: K, value: V, deadline: SimTime) {
-        self.entries.insert(key, Entry { value, deadline: Some(deadline) });
+        self.insert_until(key, value, Some(deadline));
+    }
+
+    /// Park a continuation that expires at `deadline`, or never if `None`.
+    pub fn insert_until(&mut self, key: K, value: V, deadline: Option<SimTime>) {
+        self.entries.insert(key, Entry { value, deadline });
         self.high_water = self.high_water.max(self.entries.len());
     }
 

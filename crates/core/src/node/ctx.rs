@@ -72,7 +72,7 @@ pub struct NodeState {
     /// unless the fabric was built with one — all no-ops then).
     pub(crate) tracer: Tracer,
     /// SLO monitor, present only when [`super::TraceConfig::slo`] is set:
-    /// windowed rules over this node's metrics registry, evaluated on
+    /// windowed rules over the monitor's own `slo.*` feed, evaluated on
     /// the `Tick::SloCheck` cadence.
     pub(crate) slo: Option<SloMonitor>,
     // container runtime state
@@ -277,39 +277,30 @@ impl NodeCtx<'_, '_> {
         let _ = self.net_send(to, size, msg);
     }
 
-    /// Record one finished registry query into the SLO feed: a virtual-
-    /// latency histogram sample plus total/empty counters, under `slo.*`
-    /// keys. Gated on an SLO monitor being configured so that default
-    /// configurations add no registry keys (E1–E14 print key lists and
-    /// must stay byte-identical).
+    /// Record one finished registry query into the SLO monitor's feed: a
+    /// virtual-latency histogram sample plus total/empty counters, under
+    /// `slo.*` keys. A no-op unless an SLO monitor is configured.
     pub(crate) fn note_slo_query(&mut self, latency: SimTime, empty: bool) {
-        if self.state.cfg.tracing.slo.is_none() {
-            return;
-        }
+        let Some(mon) = self.state.slo.as_mut() else { return };
         const QUERY_LATENCY_BUCKETS_US: [u64; 8] =
             [100, 500, 1_000, 5_000, 20_000, 100_000, 400_000, 1_600_000];
-        self.state.metrics.note_observe(
-            "slo.query_us",
-            &QUERY_LATENCY_BUCKETS_US,
-            latency.as_nanos() / 1_000,
-        );
-        self.state.metrics.note("slo.query.total");
+        mon.observe("slo.query_us", &QUERY_LATENCY_BUCKETS_US, latency.as_nanos() / 1_000);
+        mon.count("slo.query.total");
         if empty {
-            self.state.metrics.note("slo.query.empty");
+            mon.count("slo.query.empty");
         }
     }
 
-    /// One `Tick::SloCheck` evaluation: diff the node's metrics registry
-    /// against the previous window, fire deterministic breaches, and —
-    /// the crash-dump path generalized — capture this node's flight
-    /// recorder into each breach record. Re-arms its own timer.
+    /// One `Tick::SloCheck` evaluation: diff the monitor's feed against
+    /// the previous window, fire deterministic breaches, and — the
+    /// crash-dump path generalized — capture this node's flight recorder
+    /// into each breach record. Re-arms its own timer.
     pub(crate) fn slo_check(&mut self) {
         let now = self.sim.now();
         let Some(mut mon) = self.state.slo.take() else { return };
-        let fired = mon.evaluate(now, self.state.metrics.registry());
+        let fired = mon.evaluate(now);
         for breach in fired {
             self.sim.metrics().incr("slo.breaches");
-            self.state.metrics.note("slo.breaches");
             let (flight, dropped) = self.state.tracer.flight_record(self.state.host.0);
             mon.record_breach(breach, flight, dropped);
         }
@@ -326,7 +317,6 @@ impl NodeCtx<'_, '_> {
         let Some(dropped) = self.state.backend.invalidate(component) else { return };
         self.sim.metrics().incr("cache.invalidations");
         self.sim.metrics().add("cache.invalidated_entries", dropped as u64);
-        self.state.metrics.note("cache.invalidations");
     }
 
     /// A register/deregister/migrate event changed this node's component

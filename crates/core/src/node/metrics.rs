@@ -7,18 +7,13 @@
 //! into virtual time), so the simulation stays deterministic while the
 //! instrumentation reflects real CPU cost.
 //!
-//! The numbers themselves live in a [`MetricsRegistry`] (lc-trace) under
-//! a flat naming scheme — `{service}.msgs_in`, `{service}.dispatches`,
-//! `cmd.{Name}`, plus a `{service}.dispatch_wall_ns` histogram — and the
-//! legacy [`ServiceMetrics`] snapshot is rebuilt from registry reads, so
-//! node counters are enumerable alongside every other registry metric.
+//! The counters are stored as the typed structs they are read as: one
+//! [`ServiceMetrics`] per [`ServiceKind`] plus a per-command count, so
+//! the router's hot path is an array index and an add — no key strings
+//! are built. Node-level event counts (cache hits, admission sheds, SLO
+//! breaches) go to the simulation-wide `lc_des::Metrics` sink instead.
 
-use lc_trace::MetricsRegistry;
-
-/// Wall-clock handler-latency bucket edges, in nanoseconds (250 ns up
-/// to ~1 ms by powers of four).
-pub const DISPATCH_WALL_NS_BUCKETS: [u64; 7] =
-    [250, 1_000, 4_000, 16_000, 64_000, 256_000, 1_024_000];
+use std::collections::BTreeMap;
 
 /// The four Figure-1 services plus the container runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -44,6 +39,11 @@ impl ServiceKind {
         ServiceKind::Cohesion,
         ServiceKind::Container,
     ];
+
+    /// Position in [`ServiceKind::ALL`] (and in [`NodeMetrics`]' table).
+    fn index(self) -> usize {
+        self as usize
+    }
 
     /// Stable lowercase display name.
     pub fn name(self) -> &'static str {
@@ -84,85 +84,54 @@ impl ServiceMetrics {
 
 /// The node-level instrumentation the refactor threads through the
 /// service seam: per-service message/latency counters plus per-command
-/// counts, all kept in a [`MetricsRegistry`]. Continuation-table depth
-/// lives with the table itself ([`super::Continuations`]) and is joined
-/// in at reflection time.
+/// counts. Continuation-table depth lives with the table itself
+/// ([`super::Continuations`]) and is joined in at reflection time.
 #[derive(Clone, Debug, Default)]
 pub struct NodeMetrics {
-    registry: MetricsRegistry,
+    services: [ServiceMetrics; 5],
+    cmds: BTreeMap<&'static str, u64>,
     current: Option<ServiceKind>,
 }
 
 impl NodeMetrics {
-    /// Snapshot of one service's counters, rebuilt from the registry.
+    /// Snapshot of one service's counters.
     pub fn service(&self, kind: ServiceKind) -> ServiceMetrics {
-        let n = kind.name();
-        ServiceMetrics {
-            msgs_in: self.registry.counter(&format!("{n}.msgs_in")),
-            msgs_out: self.registry.counter(&format!("{n}.msgs_out")),
-            dispatches: self.registry.counter(&format!("{n}.dispatches")),
-            dispatch_ns: self.registry.counter(&format!("{n}.dispatch_ns")),
-        }
-    }
-
-    /// The backing registry (counters, gauges, histograms), for
-    /// reflection dumps and the observability experiment.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        self.services[kind.index()]
     }
 
     /// `(command name, count)` for every [`super::NodeCmd`] seen,
     /// in name order.
     pub fn cmd_counts(&self) -> Vec<(String, u64)> {
-        self.registry
-            .counters()
-            .filter_map(|(k, v)| k.strip_prefix("cmd.").map(|n| (n.to_owned(), v)))
-            .collect()
+        self.cmds.iter().map(|(n, c)| ((*n).to_owned(), *c)).collect()
     }
 
     /// Total messages in across all services.
     pub fn total_msgs_in(&self) -> u64 {
-        ServiceKind::ALL.iter().map(|k| self.service(*k).msgs_in).sum()
+        self.services.iter().map(|m| m.msgs_in).sum()
     }
 
     /// Total messages out across all services.
     pub fn total_msgs_out(&self) -> u64 {
-        ServiceKind::ALL.iter().map(|k| self.service(*k).msgs_out).sum()
+        self.services.iter().map(|m| m.msgs_out).sum()
     }
 
-    pub(crate) fn note_cmd(&mut self, name: &str) {
-        self.registry.incr(&format!("cmd.{name}"));
-    }
-
-    /// Count one node-level event under `name` (e.g. `cache.hits`).
-    pub(crate) fn note(&mut self, name: &str) {
-        self.registry.incr(name);
-    }
-
-    /// Observe one node-level histogram sample (e.g. cache staleness).
-    pub(crate) fn note_observe(&mut self, name: &str, buckets: &[u64], value: u64) {
-        self.registry.observe(name, buckets, value);
+    pub(crate) fn note_cmd(&mut self, name: &'static str) {
+        *self.cmds.entry(name).or_insert(0) += 1;
     }
 
     /// Begin a handler activation: attribute subsequent sends to `kind`.
     pub(crate) fn begin(&mut self, kind: ServiceKind, counts_as_msg: bool) {
         self.current = Some(kind);
-        let n = kind.name();
-        self.registry.incr(&format!("{n}.dispatches"));
+        let m = &mut self.services[kind.index()];
+        m.dispatches += 1;
         if counts_as_msg {
-            self.registry.incr(&format!("{n}.msgs_in"));
+            m.msgs_in += 1;
         }
     }
 
     /// End a handler activation started with [`Self::begin`].
     pub(crate) fn finish(&mut self, kind: ServiceKind, elapsed_ns: u64) {
-        let n = kind.name();
-        self.registry.add(&format!("{n}.dispatch_ns"), elapsed_ns);
-        self.registry.observe(
-            &format!("{n}.dispatch_wall_ns"),
-            &DISPATCH_WALL_NS_BUCKETS,
-            elapsed_ns,
-        );
+        self.services[kind.index()].dispatch_ns += elapsed_ns;
         self.current = None;
     }
 
@@ -170,7 +139,7 @@ impl NodeMetrics {
     /// the container when sent from outside a handler, e.g. public API).
     pub(crate) fn msg_out(&mut self) {
         let kind = self.current.unwrap_or(ServiceKind::Container);
-        self.registry.incr(&format!("{}.msgs_out", kind.name()));
+        self.services[kind.index()].msgs_out += 1;
     }
 }
 
@@ -203,14 +172,5 @@ mod tests {
         m.note_cmd("Query");
         let counts = m.cmd_counts();
         assert_eq!(counts, vec![("Install".to_owned(), 2), ("Query".to_owned(), 1)]);
-    }
-
-    #[test]
-    fn registry_exposes_wall_histogram() {
-        let mut m = NodeMetrics::default();
-        m.begin(ServiceKind::Container, true);
-        m.finish(ServiceKind::Container, 500);
-        let h = m.registry().histogram("container.dispatch_wall_ns");
-        assert_eq!(h.map(|h| h.count()), Some(1));
     }
 }

@@ -723,7 +723,7 @@ impl Node {
     }
 
     /// Read access to the shared node state (post-run inspection:
-    /// metrics registry, SLO monitor, repository).
+    /// node metrics, SLO monitor, repository).
     pub fn state(&self) -> &NodeState {
         &self.state
     }

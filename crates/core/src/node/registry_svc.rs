@@ -17,11 +17,6 @@ use super::metrics::ServiceKind;
 use super::service::{item, NodeService, ServiceReflect, SvcMsg, Tick};
 use super::{NodeCmd, SpawnSink};
 
-/// Cache-staleness histogram bucket edges, in microseconds of virtual
-/// time (1 ms up to 5 s).
-const CACHE_AGE_US_BUCKETS: [u64; 6] =
-    [1_000, 10_000, 50_000, 250_000, 1_000_000, 5_000_000];
-
 impl NodeState {
     /// Offers this node's own registry/repository can make for a query.
     pub(crate) fn local_offers_for(&self, query: &ComponentQuery) -> Vec<Offer> {
@@ -55,9 +50,7 @@ impl NodeCtx<'_, '_> {
             ResolveStep::Hit { offers, age } => {
                 self.sim.metrics().incr("query.started");
                 self.sim.metrics().incr("cache.hits");
-                self.state.metrics.note("cache.hits");
                 let age_us = (age.as_secs_f64() * 1e6) as u64;
-                self.state.metrics.note_observe("cache.age_us", &CACHE_AGE_US_BUCKETS, age_us);
                 let tracer = self.state.tracer.clone();
                 if let Some(sp) = tracer.complete(
                     self.state.host.0,
@@ -77,11 +70,9 @@ impl NodeCtx<'_, '_> {
             ResolveStep::Coalesce { leader, cache_missed } => {
                 if cache_missed {
                     self.sim.metrics().incr("cache.misses");
-                    self.state.metrics.note("cache.misses");
                 }
                 self.sim.metrics().incr("query.started");
                 self.sim.metrics().incr("cache.coalesced");
-                self.state.metrics.note("cache.coalesced");
                 let tracer = self.state.tracer.clone();
                 if let Some(sp) = tracer.complete(
                     self.state.host.0,
@@ -104,7 +95,6 @@ impl NodeCtx<'_, '_> {
             ResolveStep::Search { key, cache_missed } => {
                 if cache_missed {
                     self.sim.metrics().incr("cache.misses");
-                    self.state.metrics.note("cache.misses");
                 }
                 // Bounded admission queue: starting a search beyond the
                 // cap sheds the *oldest* pending query first (adaptive
@@ -656,7 +646,6 @@ impl NodeCtx<'_, '_> {
         let Some(mut pq) = self.state.conts.queries.remove(&seq) else { return };
         let now = self.sim.now();
         self.sim.metrics().incr("admission.query_shed");
-        self.state.metrics.note("admission.query_shed");
         if let Some(k) = pq.cache_key.take() {
             self.state.backend.complete(&k, &pq.offers, now, false);
         }

@@ -5,7 +5,7 @@
 
 use lc_core::node::{InvokePolicy, NodeCmd, NodeConfig};
 use lc_core::testkit::{build_world_on, fast_cohesion};
-use lc_core::{BehaviorRegistry, Continuations, InvokeSink};
+use lc_core::{BehaviorRegistry, Continuations, InvokeSink, MigrateSink, SpawnSink};
 use lc_des::SimTime;
 use lc_net::{FaultPlan, HostId, LinkFaults, Net, Topology};
 use lc_orb::{ObjectRef, Value};
@@ -117,6 +117,94 @@ fn dup_reorder_fabric_keeps_servant_effects_exactly_once() {
             value as u32, k,
             "servant executed {value} increments for {k} calls (dup_p={dup_p:.2})"
         );
+    });
+}
+
+/// Remote `SpawnOn` and `Migrate` commands resolve under link loss: with
+/// an invoke deadline configured, a lost `Spawn`/`SpawnDone` or
+/// `MigrateIn`/`MigrateDone` frame ends in a timeout error instead of an
+/// empty sink, so every driver sink is filled one deadline (plus settle)
+/// after the command. A failed migration leaves the instance at its
+/// origin; a completed one removes it there.
+#[test]
+fn lossy_remote_spawns_and_migrations_always_resolve() {
+    check("lossy_remote_writes_resolve", |g| {
+        let seed = g.next_u64();
+        let spawns = g.gen_range(2..6usize);
+        let migrations = g.gen_range(2..6usize);
+        let plan = FaultPlan::seeded(seed).default_link(LinkFaults::none().drop_p(0.05));
+        let behaviors = BehaviorRegistry::new();
+        lc_core::demo::register_demo_behaviors(&behaviors);
+        let policy = InvokePolicy::standard();
+        let deadline = policy.deadline.expect("standard policy has a deadline");
+        let mut w = build_world_on(
+            Net::builder(Topology::lan(4)).fault_plan(plan).build(),
+            seed ^ 0x5eed,
+            NodeConfig { cohesion: fast_cohesion(), invoke: policy, ..Default::default() },
+            behaviors,
+            lc_core::demo::demo_trust(),
+            Arc::new(lc_core::demo::demo_idl()),
+            |_| vec![lc_core::demo::counter_package()],
+        );
+        w.sim.run_until(SimTime::from_millis(800));
+
+        // Instances to migrate start at host 0 (local spawns never touch
+        // the lossy fabric).
+        let names: Vec<String> = (0..migrations).map(|i| format!("m{i}")).collect();
+        for name in &names {
+            let sink: SpawnSink = Rc::default();
+            w.cmd(
+                HostId(0),
+                NodeCmd::SpawnLocal {
+                    component: "Counter".into(),
+                    min_version: lc_pkg::Version::new(1, 0),
+                    instance_name: Some(name.clone()),
+                    sink: sink.clone(),
+                },
+            );
+            w.sim.run_until(w.sim.now() + SimTime::from_millis(1));
+            assert!(matches!(*sink.borrow(), Some(Ok(_))), "local spawn of {name}");
+        }
+
+        let mut spawn_sinks = Vec::new();
+        for i in 0..spawns {
+            let sink: SpawnSink = Rc::default();
+            w.cmd(
+                HostId(0),
+                NodeCmd::SpawnOn {
+                    node: HostId(1 + g.gen_range(0..3u32)),
+                    component: "Counter".into(),
+                    min_version: lc_pkg::Version::new(1, 0),
+                    instance_name: Some(format!("s{i}")),
+                    sink: sink.clone(),
+                },
+            );
+            spawn_sinks.push(sink);
+        }
+        let mut migrate_sinks = Vec::new();
+        for name in &names {
+            let instance = w.node(HostId(0)).expect("origin").registry.named(name).expect("m").id;
+            let sink: MigrateSink = Rc::default();
+            let to = HostId(1 + g.gen_range(0..3u32));
+            w.cmd(HostId(0), NodeCmd::Migrate { instance, to, sink: Some(sink.clone()) });
+            migrate_sinks.push(sink);
+        }
+        let settle = w.sim.now() + deadline + SimTime::from_millis(500);
+        w.sim.run_until(settle);
+
+        for (i, sink) in spawn_sinks.iter().enumerate() {
+            assert!(sink.borrow().is_some(), "remote spawn {i} never resolved");
+        }
+        let origin = w.node(HostId(0)).expect("origin");
+        for (name, sink) in names.iter().zip(&migrate_sinks) {
+            let result = sink.borrow().clone();
+            let Some(result) = result else { panic!("migration of {name} never resolved") };
+            assert_eq!(
+                origin.registry.named(name).is_some(),
+                result.is_err(),
+                "migration of {name} ended {result:?} but the origin disagrees"
+            );
+        }
     });
 }
 

@@ -7,6 +7,16 @@
 
 use std::collections::BTreeMap;
 
+/// Zero-based nearest-rank position of quantile `q` (in `[0, 1]`) among
+/// `n > 0` ascending samples: the smallest sample with at least `q·n`
+/// samples at or below it, i.e. rank `ceil(q·n)` clamped to `1..=n`.
+/// The one percentile rule shared by [`Histogram::percentile`], the
+/// reservoir quantiles of lc-trace and lc-load's capacity reports.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    debug_assert!(n > 0, "nearest rank of an empty sample");
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
 /// A set of recorded samples with streaming summary statistics.
 ///
 /// Samples are kept in full (experiments are bounded, the largest records
@@ -86,8 +96,7 @@ impl Histogram {
             self.samples.sort_by(|a, b| a.total_cmp(b));
             self.sorted = true;
         }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
+        self.samples[nearest_rank(q, self.samples.len())]
     }
 
     /// Median (50th percentile).
@@ -218,6 +227,15 @@ mod tests {
         assert_eq!(h.percentile(1.0), 5.0);
         assert_eq!(h.percentile(0.0), 1.0);
         assert!((h.stddev() - 2.0f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nearest_rank_is_ceil_clamped() {
+        assert_eq!(nearest_rank(0.0, 5), 0);
+        assert_eq!(nearest_rank(0.2, 5), 0); // rank exactly 1
+        assert_eq!(nearest_rank(0.5, 5), 2); // ceil(2.5) = 3
+        assert_eq!(nearest_rank(0.99, 100), 98);
+        assert_eq!(nearest_rank(1.0, 5), 4);
     }
 
     #[test]

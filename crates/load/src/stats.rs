@@ -9,9 +9,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     }
     let mut v: Vec<f64> = samples.to_vec();
     v.sort_by(f64::total_cmp);
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.saturating_sub(1).min(v.len() - 1)]
+    v[lc_des::nearest_rank(p.clamp(0.0, 100.0) / 100.0, v.len())]
 }
 
 /// The capacity knee of a goodput-vs-offered-load curve: the point of

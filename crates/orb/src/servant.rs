@@ -16,7 +16,7 @@ use crate::value::{check_value, Value};
 use lc_idl::ast::ParamMode;
 use lc_idl::Repository;
 use lc_net::HostId;
-use lc_trace::{MetricsRegistry, Tracer};
+use lc_trace::Tracer;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -197,11 +197,10 @@ pub struct DispatchResult {
     pub cpu_cost: lc_des::SimTime,
 }
 
-/// Snapshot of an adapter's dispatch counters, for the node's
-/// per-service instrumentation and the E1 overhead report. The numbers
-/// live in the adapter's [`MetricsRegistry`] under `dispatch.*`; this
-/// struct is rebuilt from registry reads on demand. Wall-clock time
-/// never feeds back into simulated behaviour.
+/// An adapter's dispatch counters, for the node's per-service
+/// instrumentation and the E1 overhead report. The adapter increments
+/// these fields directly on every dispatch. Wall-clock time never feeds
+/// back into simulated behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Type-checked IDL dispatches.
@@ -231,11 +230,6 @@ impl DispatchStats {
     }
 }
 
-/// Wall-clock dispatch-latency bucket edges (ns): 250ns … ~1ms by
-/// powers of 4, fixed so two runs bucket identically.
-const DISPATCH_NS_BUCKETS: [u64; 7] =
-    [250, 1_000, 4_000, 16_000, 64_000, 256_000, 1_024_000];
-
 /// The per-host servant table.
 pub struct ObjectAdapter {
     host: HostId,
@@ -243,7 +237,7 @@ pub struct ObjectAdapter {
     next_oid: u64,
     servants: BTreeMap<u64, Box<dyn Servant>>,
     clock: lc_des::SimTime,
-    registry: MetricsRegistry,
+    stats: DispatchStats,
     tracer: Tracer,
 }
 
@@ -256,7 +250,7 @@ impl ObjectAdapter {
             next_oid: 1,
             servants: BTreeMap::new(),
             clock: lc_des::SimTime::ZERO,
-            registry: MetricsRegistry::new(),
+            stats: DispatchStats::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -267,27 +261,9 @@ impl ObjectAdapter {
         self.tracer = tracer;
     }
 
-    /// Dispatch counters since creation (or the last reset), rebuilt
-    /// from the `dispatch.*` entries of the metrics registry.
+    /// Dispatch counters since creation.
     pub fn dispatch_stats(&self) -> DispatchStats {
-        DispatchStats {
-            typed: self.registry.counter("dispatch.typed"),
-            raw: self.registry.counter("dispatch.raw"),
-            errors: self.registry.counter("dispatch.errors"),
-            total_ns: self.registry.counter("dispatch.total_ns"),
-        }
-    }
-
-    /// The adapter's metrics registry (counters under `dispatch.*`, a
-    /// fixed-bucket wall-clock latency histogram under
-    /// `dispatch.wall_ns`).
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Zero the dispatch counters (e.g. between benchmark phases).
-    pub fn reset_dispatch_stats(&mut self) {
-        self.registry.clear();
+        self.stats
     }
 
     /// Set the virtual time exposed to servants during dispatch.
@@ -379,13 +355,15 @@ impl ObjectAdapter {
         } else {
             self.dispatch_raw_inner(key, op, args)
         };
-        self.registry.incr(if opts.type_check { "dispatch.typed" } else { "dispatch.raw" });
-        if res.outcome.is_err() {
-            self.registry.incr("dispatch.errors");
+        if opts.type_check {
+            self.stats.typed += 1;
+        } else {
+            self.stats.raw += 1;
         }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        self.registry.add("dispatch.total_ns", elapsed);
-        self.registry.observe("dispatch.wall_ns", &DISPATCH_NS_BUCKETS, elapsed);
+        if res.outcome.is_err() {
+            self.stats.errors += 1;
+        }
+        self.stats.total_ns += t0.elapsed().as_nanos() as u64;
         // Dispatch span: virtual interval [clock, clock + declared CPU
         // cost], under whatever operation is being traced right now.
         if let Some(parent) = self.tracer.current() {
@@ -688,17 +666,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_ride_the_metrics_registry() {
+    fn stats_count_typed_raw_and_errors() {
         let (mut oa, r) = adapter();
+        assert_eq!(oa.dispatch_stats(), DispatchStats::default());
         let _ = oa.invoke(r.key, "add", &[Value::Long(2)], DispatchOpts::typed());
         let _ = oa.invoke(r.key, "nope", &[], DispatchOpts::typed());
-        let reg = oa.metrics_registry();
-        assert_eq!(reg.counter("dispatch.typed"), 2);
-        assert_eq!(reg.counter("dispatch.errors"), 1);
-        assert_eq!(reg.histogram("dispatch.wall_ns").map(|h| h.count()), Some(2));
-        assert_eq!(oa.dispatch_stats().typed, 2);
-        oa.reset_dispatch_stats();
-        assert_eq!(oa.dispatch_stats(), DispatchStats::default());
+        let _ = oa.invoke(r.key, "_reply", &[], DispatchOpts::raw());
+        let s = oa.dispatch_stats();
+        assert_eq!((s.typed, s.raw, s.errors), (2, 1, 2));
+        assert_eq!(s.total(), 3);
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms with deterministic boundaries.
+//! Fixed-bucket histograms with deterministic boundaries and windowed
+//! deltas, plus the small named-metric map an SLO monitor keeps as its
+//! feed.
 //!
-//! This supersedes the ad-hoc counter structs that grew inside the node
-//! (`NodeMetrics`) and the object adapter (`DispatchStats`): both now
-//! keep their numbers here and rebuild their public snapshot types from
-//! registry reads, so every node-local quantity is enumerable under one
-//! naming scheme (`registry.msgs_in`, `dispatch.typed`, …) — the
-//! self-describing-node story of the paper's reflection architecture
-//! extended to instrumentation.
+//! Aggregate counters live elsewhere: simulation-wide ones in
+//! `lc_des::Metrics`, per-service node counters and adapter dispatch
+//! counters in their own typed structs. The map here is crate-private to
+//! [`crate::slo`] and holds only the samples its rules read.
 
-use crate::streaming::ReservoirHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -106,8 +103,8 @@ impl BucketHistogram {
     /// ([`BucketHistogram::count`] etc.) are untouched — this is a pure
     /// read, which is what burn-rate rules need.
     ///
-    /// A `prev` from a differently-bucketed histogram (or from after a
-    /// [`MetricsRegistry::clear`]) is treated as empty.
+    /// A `prev` from a differently-bucketed histogram (or one holding
+    /// more samples than this one) is treated as empty.
     pub fn delta_since(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
         let comparable = prev.bounds == self.bounds && prev.count <= self.count;
         let empty;
@@ -195,71 +192,34 @@ impl HistogramSnapshot {
 /// A point-in-time copy of a [`MetricsRegistry`]'s counters and
 /// histograms, for windowed delta reads.
 #[derive(Clone, Debug, Default)]
-pub struct MetricsSnapshot {
+pub(crate) struct MetricsSnapshot {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Named counters, gauges and fixed-bucket histograms.
+/// Named counters and fixed-bucket histograms with windowed deltas: the
+/// feed an [`crate::SloMonitor`] evaluates its rules over.
 ///
-/// All maps are `BTreeMap`s, so iteration (and therefore any rendered
-/// report) is deterministically ordered.
+/// Both maps are `BTreeMap`s, so iteration is deterministically ordered.
 #[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, BucketHistogram>,
-    reservoirs: BTreeMap<String, ReservoirHistogram>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
     /// Increment counter `key` by 1.
-    pub fn incr(&mut self, key: &str) {
-        self.add(key, 1);
-    }
-
-    /// Increment counter `key` by `n`.
-    pub fn add(&mut self, key: &str, n: u64) {
+    pub(crate) fn incr(&mut self, key: &str) {
         if let Some(c) = self.counters.get_mut(key) {
-            *c += n;
+            *c += 1;
         } else {
-            self.counters.insert(key.to_owned(), n);
+            self.counters.insert(key.to_owned(), 1);
         }
-    }
-
-    /// Current counter value (0 if never touched).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterate counters in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Set gauge `key`.
-    pub fn set_gauge(&mut self, key: &str, v: i64) {
-        self.gauges.insert(key.to_owned(), v);
-    }
-
-    /// Current gauge value (0 if never set).
-    pub fn gauge(&self, key: &str) -> i64 {
-        self.gauges.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterate gauges in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Record a sample into histogram `key`, creating it with `bounds`
     /// on first use (later calls keep the original bounds).
-    pub fn observe(&mut self, key: &str, bounds: &[u64], v: u64) {
+    pub(crate) fn observe(&mut self, key: &str, bounds: &[u64], v: u64) {
         if let Some(h) = self.histograms.get_mut(key) {
             h.observe(v);
             return;
@@ -269,44 +229,8 @@ impl MetricsRegistry {
         self.histograms.insert(key.to_owned(), h);
     }
 
-    /// Record a sample into reservoir histogram `key`, creating it with
-    /// `capacity` slots on first use (later calls keep the original
-    /// capacity). Unlike [`MetricsRegistry::observe`], memory stays
-    /// O(capacity) no matter how many samples arrive — the variant the
-    /// million-node scale path uses.
-    pub fn observe_reservoir(&mut self, key: &str, capacity: usize, v: u64) {
-        if let Some(r) = self.reservoirs.get_mut(key) {
-            r.observe(v);
-            return;
-        }
-        let mut r = ReservoirHistogram::new(capacity);
-        r.observe(v);
-        self.reservoirs.insert(key.to_owned(), r);
-    }
-
-    /// Borrow a reservoir mutably (quantile queries sort in place).
-    pub fn reservoir_mut(&mut self, key: &str) -> Option<&mut ReservoirHistogram> {
-        self.reservoirs.get_mut(key)
-    }
-
-    /// Iterate reservoirs in key order.
-    pub fn reservoirs(&self) -> impl Iterator<Item = (&str, &ReservoirHistogram)> {
-        self.reservoirs.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Borrow a histogram, if anything was observed under `key`.
-    pub fn histogram(&self, key: &str) -> Option<&BucketHistogram> {
-        self.histograms.get(key)
-    }
-
-    /// Iterate histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &BucketHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Snapshot counters and histograms for later windowed deltas.
-    /// Existing accessors are untouched — snapshots are pure reads.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.clone(),
             histograms: self.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
@@ -314,47 +238,31 @@ impl MetricsRegistry {
     }
 
     /// Counter `key`'s increase since `prev` was taken (0 for unknown
-    /// keys; a counter below its snapshot — registry cleared — reads 0).
-    pub fn counter_delta(&self, key: &str, prev: &MetricsSnapshot) -> u64 {
-        self.counter(key).saturating_sub(prev.counters.get(key).copied().unwrap_or(0))
+    /// keys).
+    pub(crate) fn counter_delta(&self, key: &str, prev: &MetricsSnapshot) -> u64 {
+        let now = self.counters.get(key).copied().unwrap_or(0);
+        now.saturating_sub(prev.counters.get(key).copied().unwrap_or(0))
     }
 
     /// Histogram `key`'s window of samples since `prev` was taken.
     /// `None` when the histogram does not exist; a key absent from
     /// `prev` deltas against empty.
-    pub fn histogram_delta(&self, key: &str, prev: &MetricsSnapshot) -> Option<HistogramSnapshot> {
+    pub(crate) fn histogram_delta(
+        &self,
+        key: &str,
+        prev: &MetricsSnapshot,
+    ) -> Option<HistogramSnapshot> {
         let h = self.histograms.get(key)?;
         match prev.histograms.get(key) {
             Some(p) => Some(h.delta_since(p)),
             None => Some(h.snapshot()),
         }
     }
-
-    /// Reset everything.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-        self.reservoirs.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_gauges() {
-        let mut r = MetricsRegistry::new();
-        r.incr("a");
-        r.add("a", 4);
-        r.set_gauge("depth", 7);
-        r.set_gauge("depth", 3);
-        assert_eq!(r.counter("a"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("depth"), 3);
-        assert_eq!(r.counters().collect::<Vec<_>>(), vec![("a", 5)]);
-    }
 
     #[test]
     fn histogram_buckets_are_fixed() {
@@ -377,38 +285,28 @@ mod tests {
     }
 
     #[test]
-    fn registry_reservoirs_stay_bounded() {
-        let mut r = MetricsRegistry::new();
-        for v in 0..10_000u64 {
-            r.observe_reservoir("queue.depth", 16, v);
-        }
-        let res = r.reservoir_mut("queue.depth").unwrap();
-        assert_eq!(res.count(), 10_000);
-        assert_eq!(res.reservoir_len(), 16);
-        assert_eq!(res.max(), 9_999);
-        let keys: Vec<_> = r.reservoirs().map(|(k, _)| k.to_owned()).collect();
-        assert_eq!(keys, ["queue.depth"]);
-        r.clear();
-        assert!(r.reservoir_mut("queue.depth").is_none());
-    }
-
-    #[test]
     fn windowed_deltas_leave_cumulative_state_alone() {
-        let mut r = MetricsRegistry::new();
+        let mut r = MetricsRegistry::default();
         r.observe("lat", &[10, 100], 5);
-        r.add("q.total", 3);
+        for _ in 0..3 {
+            r.incr("q.total");
+        }
         let snap = r.snapshot();
         r.observe("lat", &[10, 100], 50);
         r.observe("lat", &[10, 100], 7);
-        r.add("q.total", 4);
+        for _ in 0..4 {
+            r.incr("q.total");
+        }
         let w = r.histogram_delta("lat", &snap).unwrap();
         assert_eq!(w.count, 2);
         assert_eq!(w.sum, 57);
         assert_eq!(w.counts, vec![1, 1, 0]);
         assert_eq!(r.counter_delta("q.total", &snap), 4);
-        // cumulative accessors unchanged by the windowed reads
-        assert_eq!(r.histogram("lat").unwrap().count(), 3);
-        assert_eq!(r.counter("q.total"), 7);
+        assert_eq!(r.counter_delta("missing", &snap), 0);
+        // the windowed reads leave the cumulative state alone
+        let empty = MetricsSnapshot::default();
+        assert_eq!(r.histogram_delta("lat", &empty).unwrap().count, 3);
+        assert_eq!(r.counter_delta("q.total", &empty), 7);
         // a fresh key deltas against empty
         r.observe("new", &[1], 1);
         assert_eq!(r.histogram_delta("new", &snap).unwrap().count, 1);
@@ -440,11 +338,11 @@ mod tests {
 
     #[test]
     fn registry_histograms_keep_first_bounds() {
-        let mut r = MetricsRegistry::new();
+        let mut r = MetricsRegistry::default();
         r.observe("lat", &[10, 20], 15);
         r.observe("lat", &[999], 5);
-        let h = r.histogram("lat").unwrap();
-        assert_eq!(h.buckets().map(|(e, _)| e).collect::<Vec<_>>(), vec![10, 20, u64::MAX]);
-        assert_eq!(h.count(), 2);
+        let h = r.histogram_delta("lat", &MetricsSnapshot::default()).unwrap();
+        assert_eq!(h.bounds, vec![10, 20]);
+        assert_eq!(h.count, 2);
     }
 }

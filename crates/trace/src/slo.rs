@@ -1,15 +1,16 @@
 //! SLO monitors evaluated in virtual time.
 //!
-//! A monitor holds a set of rules over one [`MetricsRegistry`] and is
-//! polled on a virtual-time cadence (the node arms a timer; nothing
-//! here schedules anything). Each evaluation reads the **window** of
-//! samples since the previous evaluation via
-//! [`MetricsRegistry::snapshot`] deltas — cumulative accessors are
-//! never disturbed — and fires a deterministic [`SloBreach`] per rule
-//! the window violates. The caller is expected to attach the node's
-//! flight-recorder dump to each breach ([`SloMonitor::record_breach`]),
-//! which is the "automatic dump on SLO breach, not only on crash"
-//! behaviour the node runtime wires up.
+//! A monitor owns its **feed** — the named counters and fixed-bucket
+//! histograms its rules read, written through [`SloMonitor::count`] and
+//! [`SloMonitor::observe`] (the node records one registry query at a
+//! time under `slo.*` keys) — and is polled on a virtual-time cadence
+//! (the node arms a timer; nothing here schedules anything). Each
+//! evaluation reads the **window** of samples since the previous one as
+//! snapshot deltas of that feed, and fires a deterministic [`SloBreach`]
+//! per rule the window violates. The caller is expected to attach the
+//! node's flight-recorder dump to each breach
+//! ([`SloMonitor::record_breach`]), which is the "automatic dump on SLO
+//! breach, not only on crash" behaviour the node runtime wires up.
 //!
 //! All rule arithmetic is integer (parts-per-million thresholds,
 //! bucket-edge quantiles), so two runs that observe the same samples
@@ -19,7 +20,7 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::tracer::SpanEvent;
 use lc_des::SimTime;
 
-/// One SLO rule kind.
+/// One SLO rule kind. Keys name entries of the monitor's own feed.
 #[derive(Clone, Debug)]
 pub enum SloKind {
     /// Breach when the windowed `q_ppm` quantile of histogram `key`
@@ -50,29 +51,6 @@ pub struct SloConfig {
     pub window: SimTime,
     /// Rules evaluated each window.
     pub rules: Vec<SloRule>,
-}
-
-impl SloConfig {
-    /// Preset: admission-control shed burn rate. Breaches when more
-    /// than `budget_ppm` parts-per-million of admitted traffic is shed
-    /// per window (burn multiple fixed at 1×), evaluated over the
-    /// node-local `admission.shed` / `admission.total` counters that
-    /// the container's admission gate maintains.
-    pub fn shed_burn(window: SimTime, budget_ppm: u32) -> SloConfig {
-        SloConfig {
-            window,
-            rules: vec![SloRule {
-                name: "admission-shed-burn".into(),
-                kind: SloKind::BurnRate {
-                    bad: "admission.shed".into(),
-                    total: "admission.total".into(),
-                    budget_ppm,
-                    max_burn_centi: 100,
-                    min_total: 16,
-                },
-            }],
-        }
-    }
 }
 
 /// One deterministic breach event.
@@ -116,19 +94,38 @@ pub struct BreachRecord {
     pub flight_dropped: u64,
 }
 
-/// The per-node monitor: rules + the previous window's snapshot.
+/// The per-node monitor: rules, the feed they read, and the feed's
+/// snapshot at the previous evaluation.
 #[derive(Clone, Debug)]
 pub struct SloMonitor {
     cfg: SloConfig,
+    feed: MetricsRegistry,
     last: MetricsSnapshot,
     evals: u64,
     breaches: Vec<BreachRecord>,
 }
 
 impl SloMonitor {
-    /// A monitor with an empty baseline window.
+    /// A monitor with an empty feed and baseline window.
     pub fn new(cfg: SloConfig) -> SloMonitor {
-        SloMonitor { cfg, last: MetricsSnapshot::default(), evals: 0, breaches: Vec::new() }
+        SloMonitor {
+            cfg,
+            feed: MetricsRegistry::default(),
+            last: MetricsSnapshot::default(),
+            evals: 0,
+            breaches: Vec::new(),
+        }
+    }
+
+    /// Count one event under feed counter `key`.
+    pub fn count(&mut self, key: &str) {
+        self.feed.incr(key);
+    }
+
+    /// Record one sample into feed histogram `key`, created with
+    /// `bounds` on first use (later calls keep the original bounds).
+    pub fn observe(&mut self, key: &str, bounds: &[u64], v: u64) {
+        self.feed.observe(key, bounds, v);
     }
 
     /// The configured evaluation cadence.
@@ -136,12 +133,13 @@ impl SloMonitor {
         self.cfg.window
     }
 
-    /// Evaluate every rule against the window since the last call and
-    /// advance the window. Returns the breaches fired at this instant
-    /// (also appended to the monitor's history once the caller attaches
-    /// flight dumps via [`SloMonitor::record_breach`]).
-    pub fn evaluate(&mut self, now: SimTime, reg: &MetricsRegistry) -> Vec<SloBreach> {
+    /// Evaluate every rule against the feed's window since the last call
+    /// and advance the window. Returns the breaches fired at this
+    /// instant (also appended to the monitor's history once the caller
+    /// attaches flight dumps via [`SloMonitor::record_breach`]).
+    pub fn evaluate(&mut self, now: SimTime) -> Vec<SloBreach> {
         self.evals += 1;
+        let reg = &self.feed;
         let mut fired = Vec::new();
         for rule in &self.cfg.rules {
             match &rule.kind {
@@ -228,32 +226,30 @@ mod tests {
 
     #[test]
     fn latency_rule_fires_on_windowed_quantile_only() {
-        let mut reg = MetricsRegistry::new();
         let mut mon = SloMonitor::new(latency_cfg());
         // first window: fast samples — no breach
         for _ in 0..10 {
-            reg.observe("lat", &[10, 100, 1000], 5);
+            mon.observe("lat", &[10, 100, 1000], 5);
         }
-        assert!(mon.evaluate(t(100), &reg).is_empty());
+        assert!(mon.evaluate(t(100)).is_empty());
         // second window: slow samples; the *cumulative* p90 would still
         // look fine, the window must not
         for _ in 0..10 {
-            reg.observe("lat", &[10, 100, 1000], 900);
+            mon.observe("lat", &[10, 100, 1000], 900);
         }
-        let fired = mon.evaluate(t(200), &reg);
+        let fired = mon.evaluate(t(200));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "query-p90");
         assert_eq!(fired[0].observed, 1000);
         assert_eq!(fired[0].window_events, 10);
         // third window: quiet (below min_samples) — no breach
-        reg.observe("lat", &[10, 100, 1000], 900);
-        assert!(mon.evaluate(t(300), &reg).is_empty());
+        mon.observe("lat", &[10, 100, 1000], 900);
+        assert!(mon.evaluate(t(300)).is_empty());
         assert_eq!(mon.evals(), 3);
     }
 
     #[test]
     fn burn_rate_rule_is_integer_deterministic() {
-        let mut reg = MetricsRegistry::new();
         let mut mon = SloMonitor::new(SloConfig {
             window: t(100),
             rules: vec![SloRule {
@@ -267,12 +263,14 @@ mod tests {
                 },
             }],
         });
-        reg.add("q.total", 20);
-        reg.add("q.empty", 2); // exactly budget: burn = 100 centi
-        assert!(mon.evaluate(t(100), &reg).is_empty());
-        reg.add("q.total", 20);
-        reg.add("q.empty", 5); // 25% of window: burn = 250 centi
-        let fired = mon.evaluate(t(200), &reg);
+        let feed = |mon: &mut SloMonitor, total: u32, empty: u32| {
+            (0..total).for_each(|_| mon.count("q.total"));
+            (0..empty).for_each(|_| mon.count("q.empty"));
+        };
+        feed(&mut mon, 20, 2); // exactly budget: burn = 100 centi
+        assert!(mon.evaluate(t(100)).is_empty());
+        feed(&mut mon, 20, 5); // 25% of window: burn = 250 centi
+        let fired = mon.evaluate(t(200));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].observed, 250);
         assert_eq!(fired[0].threshold, 200);

@@ -1,9 +1,8 @@
 //! Constant-memory metric primitives for million-node campuses.
 //!
-//! The [`MetricsRegistry`](crate::MetricsRegistry) maps are fine for a
-//! few thousand nodes, but at 10⁶ nodes anything per-node-keyed (one
-//! `String` map entry per node) or sample-keeping (one `Vec` slot per
-//! observation) dominates the heap. This module provides the streaming
+//! String-keyed metric maps are fine for a few thousand nodes, but at
+//! 10⁶ nodes anything per-node-keyed (one `String` map entry per node)
+//! or sample-keeping (one `Vec` slot per observation) dominates the heap. This module provides the streaming
 //! replacements the scale path uses:
 //!
 //! * [`DenseCounters`] — counters pre-registered once into dense `u32`
@@ -247,8 +246,7 @@ impl ReservoirHistogram {
             self.samples.sort_unstable();
             self.sorted = true;
         }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
+        self.samples[lc_des::nearest_rank(q, self.samples.len())]
     }
 
     /// Samples currently held (≤ capacity).

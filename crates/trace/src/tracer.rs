@@ -320,8 +320,8 @@ impl Tracer {
         }
     }
 
-    /// Drop all recorded spans and flight records (counters are kept in
-    /// [`crate::MetricsRegistry`], not here).
+    /// Drop all recorded spans and flight records (counters live in the
+    /// simulation's `lc_des::Metrics` sink, not here).
     pub fn clear(&self) {
         let mut inner = self.locked();
         inner.spans.clear();
