@@ -26,6 +26,7 @@ use lc_des::SimTime;
 use lc_net::HostId;
 use lc_pkg::Mobility;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Deterministic cache/coalescing key for a query. The `name:` prefix is
 /// parseable so invalidation can match by component name; `*` marks a
@@ -453,7 +454,8 @@ fn offer_matches(o: &Offer, q: &ComponentQuery) -> bool {
 pub struct Sharded {
     front: CacheFront,
     host: HostId,
-    ring: ShardRing,
+    /// Shared by every node built over the same host list and ring shape.
+    ring: Rc<ShardRing>,
     cfg: ShardConfig,
     /// Shards this host replicates.
     my_shards: Vec<u32>,
@@ -479,7 +481,7 @@ impl Sharded {
     ) -> Self {
         let ttl = cache.filter(|c| c.cache_results).map(|c| c.ttl);
         let coalesce = cache.is_some_and(|c| c.coalesce);
-        let ring = ShardRing::build(hosts, &cfg.ring());
+        let ring = ShardRing::shared(hosts, &cfg.ring());
         let my_shards = ring.shards_of(host);
         let home = ring.home_shard(host);
         Sharded {
@@ -918,6 +920,61 @@ mod tests {
         // not a replica of some other shard → None, not empty
         let other = (0..4).find(|s| !a.ring().is_replica(*s, HostId(0)));
         assert_eq!(other, None, "2 hosts, 2 replicas: replica of everything");
+    }
+
+    /// `ring` has the replica sets and fingers of a fresh build over
+    /// `hosts` and `cfg`.
+    fn assert_ring_built_from(ring: &ShardRing, hosts: &[HostId], cfg: &ShardConfig) {
+        let fresh = ShardRing::build(hosts, &cfg.ring());
+        assert_eq!(ring.shards(), fresh.shards());
+        for s in 0..fresh.shards() {
+            assert_eq!(ring.replicas(s), fresh.replicas(s), "replicas of shard {s}");
+            assert_eq!(ring.fingers(s), fresh.fingers(s), "fingers of shard {s}");
+        }
+    }
+
+    #[test]
+    fn nodes_over_one_host_list_share_one_ring() {
+        let cfg = ShardConfig { shards: 8, replicas: 2, vnodes: 8, ..Default::default() };
+        let hs = hosts(16);
+        let a = Sharded::new(None, &cfg, HostId(0), &hs);
+        let b = Sharded::new(None, &cfg, HostId(5), &hs);
+        assert!(std::ptr::eq(a.ring(), b.ring()), "same inputs must share one ring");
+        assert_ring_built_from(a.ring(), &hs, &cfg);
+
+        // A different host list gets its own ring, built from its own hosts.
+        let fewer = hosts(12);
+        let c = Sharded::new(None, &cfg, HostId(0), &fewer);
+        assert!(!std::ptr::eq(a.ring(), c.ring()));
+        assert_ring_built_from(c.ring(), &fewer, &cfg);
+
+        // So does a different ring shape over the same hosts.
+        let wider = ShardConfig { shards: 16, vnodes: 4, ..cfg };
+        let d = Sharded::new(None, &wider, HostId(0), &hs);
+        assert!(!std::ptr::eq(a.ring(), d.ring()));
+        assert_ring_built_from(d.ring(), &hs, &wider);
+
+        // Only the ring-shape fields key the ring; the gossip cadences do not.
+        let slower = ShardConfig { gossip_period: MS(900), ..wider };
+        let e = Sharded::new(None, &slower, HostId(1), &hs);
+        assert!(std::ptr::eq(d.ring(), e.ring()));
+    }
+
+    #[test]
+    fn shared_ring_memo_never_serves_stale_inputs() {
+        let cfg = ShardConfig { shards: 8, replicas: 3, vnodes: 8, ..Default::default() };
+        let all = hosts(10);
+        // Same length as `all`, different members: a length check alone
+        // would wrongly match.
+        let shifted: Vec<HostId> = (10..20).map(HostId).collect();
+        let a1 = Sharded::new(None, &cfg, HostId(0), &all);
+        let b = Sharded::new(None, &cfg, HostId(10), &shifted);
+        let a2 = Sharded::new(None, &cfg, HostId(1), &all);
+        assert_ring_built_from(a1.ring(), &all, &cfg);
+        assert_ring_built_from(b.ring(), &shifted, &cfg);
+        assert_ring_built_from(a2.ring(), &all, &cfg);
+        assert!(!std::ptr::eq(a1.ring(), b.ring()));
+        assert!(!std::ptr::eq(b.ring(), a2.ring()));
     }
 
     #[test]

@@ -22,18 +22,41 @@
 //! Everything is deterministic: the hash is FNV-1a over explicit byte
 //! strings, hosts come from the fabric's ordered host list, and no
 //! wall-clock or ambient RNG is involved.
+//!
+//! The ring is a pure function of the host list and its configuration,
+//! so every node of one fabric shares a single copy:
+//! [`ShardRing::shared`] builds it once per distinct input and hands
+//! out `Rc` clones.
 
 use lc_net::HostId;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// Deterministic 64-bit FNV-1a hash (no `std::hash` — `RandomState`
-/// would break run-to-run reproducibility).
-pub fn stable_hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step over `bytes`, continuing from state `h`: hashing
+/// `a` then `b` equals hashing their concatenation.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Deterministic 64-bit FNV-1a hash (no `std::hash` — `RandomState`
+/// would break run-to-run reproducibility).
+pub fn stable_hash64(bytes: &[u8]) -> u64 {
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+/// The inputs and result of the last [`ShardRing::shared`] build.
+type RingMemo = Option<(Vec<HostId>, ShardRingConfig, Rc<ShardRing>)>;
+
+thread_local! {
+    /// One-entry memo behind [`ShardRing::shared`]. Per thread, because
+    /// a simulation runs on one thread and `Rc` cannot cross threads.
+    static SHARED_RING: RefCell<RingMemo> = const { RefCell::new(None) };
 }
 
 /// Parameters of the shard ring.
@@ -129,6 +152,22 @@ impl ShardRing {
         ShardRing { shards: cfg.shards, replica_sets, fingers }
     }
 
+    /// The ring over `hosts`, shared: returns the ring of the previous
+    /// call on this thread when both the host list and `cfg` equal that
+    /// call's, and otherwise builds a new one with [`ShardRing::build`]
+    /// and remembers it instead. Every node of a fabric passes the same
+    /// inputs, so a world builds its ring once rather than once per node.
+    pub fn shared(hosts: &[HostId], cfg: &ShardRingConfig) -> Rc<ShardRing> {
+        SHARED_RING.with_borrow_mut(|memo| match memo {
+            Some((h, c, ring)) if c == cfg && h.as_slice() == hosts => Rc::clone(ring),
+            _ => {
+                let ring = Rc::new(ShardRing::build(hosts, cfg));
+                *memo = Some((hosts.to_vec(), cfg.clone(), Rc::clone(&ring)));
+                ring
+            }
+        })
+    }
+
     /// Number of shards.
     pub fn shards(&self) -> u32 {
         self.shards
@@ -142,9 +181,12 @@ impl ShardRing {
         (stable_hash64(name.as_bytes()) % self.shards as u64) as u32
     }
 
-    /// The shard owning a component name.
+    /// The shard owning a component name: the hash of `name:{component}`
+    /// (the name segment of its cache keys), streamed without building
+    /// the string.
     pub fn shard_of_component(&self, component: &str) -> u32 {
-        (stable_hash64(format!("name:{component}").as_bytes()) % self.shards as u64) as u32
+        let h = fnv1a(fnv1a(FNV_OFFSET, b"name:"), component.as_bytes());
+        (h % self.shards as u64) as u32
     }
 
     /// A host's home shard: where its outbound lookups enter the finger
@@ -243,6 +285,20 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert!(seen.len() > 4, "64 components landed on {} shards", seen.len());
+    }
+
+    #[test]
+    fn component_hash_streams_the_name_key() {
+        use crate::registry::backend::cache_key;
+        use crate::registry::ComponentQuery;
+        let cfg = ShardRingConfig { shards: 13, ..Default::default() };
+        let r = ShardRing::build(&hosts(4), &cfg);
+        for c in ["", "Counter", "C42", "a:b", "Zähler", "日本語", "emoji 🦀", "x\0y"] {
+            let expected = (stable_hash64(format!("name:{c}").as_bytes()) % 13) as u32;
+            assert_eq!(r.shard_of_component(c), expected, "component {c:?}");
+            let q = ComponentQuery::by_name(c, lc_pkg::Version::new(1, 0));
+            assert_eq!(r.shard_of_key(&cache_key(&q)), expected, "cache key of {c:?}");
+        }
     }
 
     #[test]
