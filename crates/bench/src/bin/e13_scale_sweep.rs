@@ -9,46 +9,24 @@
 //!   point exceeds `T` bytes of state per node — the memory regression
 //!   gate.
 //!
-//! Every stdout line and JSON key carrying wall-clock throughput is
-//! marked `wall`; ci.sh filters those before diffing, so everything
-//! else is byte-identical across runs.
+//! Every stdout column carrying wall-clock throughput ends in `wall`,
+//! and every such JSON value is a `wall_` leaf of `lc_bench::json`;
+//! ci.sh masks exactly those before diffing, so everything else is
+//! byte-identical across runs.
 
-use lc_bench::e13;
+use lc_bench::{e13, write_artefacts, SweepArgs};
 use std::time::Instant; // lc-lint: allow(D1) -- explicit wall-clock throughput column
 
 fn main() {
-    let mut max_nodes: u32 = 1_000_000;
-    let mut gate: Option<f64> = None;
-    let mut path = "target/BENCH_e13.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--max-nodes" => {
-                let v = args.next().unwrap_or_default();
-                max_nodes = v.parse().unwrap_or_else(|_| die(&format!("bad --max-nodes {v}")));
-            }
-            "--gate-bytes-per-node" => {
-                let v = args.next().unwrap_or_default();
-                gate = Some(v.parse().unwrap_or_else(|_| die(&format!("bad gate {v}"))));
-            }
-            p => path = p.to_string(),
-        }
-    }
+    let SweepArgs { max_nodes, gate, path } =
+        SweepArgs::parse("e13", "--gate-bytes-per-node", 1_000_000);
 
     let seed = 13;
-    let mut points = Vec::new();
-    for (n, variant) in e13::grid(max_nodes) {
-        let t0 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let report = e13::run_point(n, variant, seed);
-        let wall_s = t0.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        points.push(e13::SweepPoint { report, wall_s });
-    }
+    let start = Instant::now(); // lc-lint: allow(D1) -- wall column only
+    let points = e13::sweep(seed, max_nodes, || start.elapsed().as_secs_f64());
     let out = e13::render(&points, seed);
     print!("{}", out.report);
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("e13: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
+    write_artefacts("e13", &[(&path, &out.json)]);
     // The JSON length varies with the width of the wall_ values, so the
     // summary counts points, not bytes (stdout must diff clean).
     println!("\nsummary: {} sweep points written to JSON", points.len());
@@ -66,9 +44,4 @@ fn main() {
         }
         println!("memory gate ok: {worst:.2} bytes/node <= {t:.2}");
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("e13: {msg}");
-    std::process::exit(2);
 }

@@ -9,88 +9,39 @@
 //!   1k campus reduces the former leader's recv bytes by less than `R`x
 //!   or regresses p99 over the single-leader row — the hotspot gate.
 //!
-//! Every stdout line and JSON key carrying wall-clock cost is marked
-//! `wall`; ci.sh filters those before diffing, so everything else is
+//! Every stdout column carrying wall-clock cost ends in `wall`, and
+//! every such JSON value is a `wall_` leaf of `lc_bench::json`; ci.sh
+//! masks exactly those before diffing, so everything else is
 //! byte-identical across runs.
 
-use lc_bench::e14;
-use lc_net::HostId;
+use lc_bench::{e14, write_artefacts, SweepArgs};
 use std::time::Instant; // lc-lint: allow(D1) -- explicit wall-clock column
 
 fn main() {
-    let mut max_nodes: u32 = 8192;
-    let mut gate: Option<f64> = None;
-    let mut path = "target/BENCH_e14.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--max-nodes" => {
-                let v = args.next().unwrap_or_default();
-                max_nodes = v.parse().unwrap_or_else(|_| die(&format!("bad --max-nodes {v}")));
-            }
-            "--gate-reduction" => {
-                let v = args.next().unwrap_or_default();
-                gate = Some(v.parse().unwrap_or_else(|_| die(&format!("bad gate {v}"))));
-            }
-            p => path = p.to_string(),
-        }
-    }
+    let SweepArgs { max_nodes, gate, path } = SweepArgs::parse("e14", "--gate-reduction", 8192);
 
     let seed = 14;
-    let mut points: Vec<e14::SweepPoint> = Vec::new();
-    let mut leaders: Vec<(u32, HostId)> = Vec::new();
-    for p in e14::grid(max_nodes) {
-        let leader = leaders.iter().find(|(n, _)| *n == p.nodes).map(|&(_, h)| h);
-        let t0 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let result = e14::run_point(p, seed, leader);
-        let wall_s = t0.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        if p.shards == 0 {
-            leaders.push((p.nodes, result.hotspot));
-        }
-        points.push(e14::SweepPoint { result, wall_s });
-    }
+    let start = Instant::now(); // lc-lint: allow(D1) -- wall column only
+    let points = e14::sweep(seed, max_nodes, || start.elapsed().as_secs_f64());
     let out = e14::render(&points, seed);
     print!("{}", out.report);
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("e14: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
+    write_artefacts("e14", &[(&path, &out.json)]);
     println!("\nsummary: {} sweep points written to JSON", points.len());
 
     if let Some(r) = gate {
-        let single_p99 = points
-            .iter()
-            .find(|p| p.result.point.nodes == 1024 && p.result.point.shards == 0)
-            .map(|p| p.result.p99_ms)
-            .unwrap_or(f64::INFINITY);
-        let single_leader_recv = points
-            .iter()
-            .find(|p| p.result.point.nodes == 1024 && p.result.point.shards == 0)
-            .map(|p| p.result.leader_recv)
-            .unwrap_or(0);
-        for p in points.iter().filter(|p| p.result.point.nodes == 1024 && p.result.point.shards >= 4)
-        {
-            let red = single_leader_recv as f64 / p.result.leader_recv.max(1) as f64;
-            if red < r {
+        let at_1k = points.iter().map(|p| &p.result).filter(|v| v.point.nodes == 1024);
+        let single = at_1k.clone().find(|v| v.point.shards == 0);
+        let single_p99 = single.map_or(f64::INFINITY, |v| v.p99_ms);
+        for v in at_1k.filter(|v| v.point.shards >= 4) {
+            let (shards, p99, red) = (v.point.shards, v.p99_ms, e14::reduction(&points, v));
+            if red < r || p99 > single_p99 {
                 eprintln!(
-                    "e14: hotspot gate FAILED at {} shards: reduction {red:.2} < {r:.2}",
-                    p.result.point.shards
-                );
-                std::process::exit(1);
-            }
-            if p.result.p99_ms > single_p99 {
-                eprintln!(
-                    "e14: latency gate FAILED at {} shards: p99 {:.2}ms > single-leader {:.2}ms",
-                    p.result.point.shards, p.result.p99_ms, single_p99
+                    "e14: hotspot gate FAILED at {shards} shards: reduction {red:.2} (floor {r:.2}), \
+                     p99 {p99:.2}ms (single-leader {single_p99:.2}ms)"
                 );
                 std::process::exit(1);
             }
         }
         println!("hotspot gate ok: >= {r:.2}x former-leader reduction, p99 no worse at 4+ shards");
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("e14: {msg}");
-    std::process::exit(2);
 }

@@ -12,62 +12,27 @@
 //! Besides the JSON, two deterministic artefacts land next to it: the
 //! collapsed-stack flamegraph (`<json>.flame.txt`) and the per-node
 //! virtual-time timeline (`<json>.timeline.txt`); ci.sh diffs both
-//! across a double run. Every volatile stdout line is marked `wall`
-//! and every volatile JSON key is prefixed `wall_`.
+//! across a double run. Every volatile stdout column ends in `wall`
+//! and every volatile JSON value is a `wall_` leaf of `lc_bench::json`;
+//! ci.sh masks exactly those before diffing.
 
-use lc_bench::e15;
+use lc_bench::{die, e15, write_artefacts, SweepArgs};
 use std::time::Instant; // lc-lint: allow(D1) -- explicit wall-clock overhead column
 
 fn main() {
-    let mut max_nodes: u32 = 100_000;
-    let mut gate: Option<f64> = None;
-    let mut path = "target/BENCH_e15.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--max-nodes" => {
-                let v = args.next().unwrap_or_default();
-                max_nodes = v.parse().unwrap_or_else(|_| die(&format!("bad --max-nodes {v}")));
-            }
-            "--gate-overhead-pct" => {
-                let v = args.next().unwrap_or_default();
-                gate = Some(v.parse().unwrap_or_else(|_| die(&format!("bad gate {v}"))));
-            }
-            p => path = p.to_string(),
-        }
-    }
+    let SweepArgs { max_nodes, gate, path } =
+        SweepArgs::parse("e15", "--gate-overhead-pct", 100_000);
 
     let seed = 15;
-    let mut points = Vec::new();
-    for n in e15::prof_grid(max_nodes) {
-        // Off first, then on, timed separately; one warm-up off-run per
-        // point so allocator state doesn't bill the first measurement.
-        let _ = e15::run_off(n, seed);
-        let t0 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let off = e15::run_off(n, seed);
-        let wall_off_s = t0.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        let t1 = Instant::now(); // lc-lint: allow(D1) -- wall column only
-        let (on, profile) = e15::run_on(n, seed);
-        let wall_on_s = t1.elapsed().as_secs_f64(); // lc-lint: allow(D1) -- wall column only
-        let identical = off == on;
-        points.push(e15::ProfPoint { n, report: off, profile, identical, wall_off_s, wall_on_s });
-    }
-    let runs: Vec<e15::TracedRun> = e15::RATES
-        .iter()
-        .map(|&(label, one_in)| e15::run_traced(seed, label, one_in))
-        .collect();
+    let start = Instant::now(); // lc-lint: allow(D1) -- wall column only
+    let points = e15::sweep(seed, max_nodes, || start.elapsed().as_secs_f64());
+    let runs = e15::traced_runs(seed);
     let out = e15::render(&points, &runs, seed);
     print!("{}", out.report);
 
     let base = path.strip_suffix(".json").unwrap_or(&path);
-    let flame_path = format!("{base}.flame.txt");
-    let timeline_path = format!("{base}.timeline.txt");
-    for (p, body) in [(&path, &out.json), (&flame_path, &out.flame), (&timeline_path, &out.timeline)] {
-        if let Err(e) = std::fs::write(p, body) {
-            eprintln!("e15: failed to write {p}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (flame, timeline) = (format!("{base}.flame.txt"), format!("{base}.timeline.txt"));
+    write_artefacts("e15", &[(&path, &out.json), (&flame, &out.flame), (&timeline, &out.timeline)]);
     println!(
         "\nsummary: {} profiler points + {} traced runs written to JSON; \
          flamegraph {} lines, timeline {} lines",
@@ -84,7 +49,7 @@ fn main() {
         }
     }
     if let Some(t) = gate {
-        let Some(p) = points.last() else { die("gate needs at least one sweep point") };
+        let Some(p) = points.last() else { die("e15", "gate needs at least one sweep point") };
         let pct = e15::overhead_pct(p);
         if pct > t {
             eprintln!("e15: overhead gate FAILED: {pct:.2}% > {t:.2}% at {} nodes", p.n);
@@ -92,9 +57,4 @@ fn main() {
         }
         println!("overhead gate ok: {pct:.2}% <= {t:.2}% at {} nodes (wall)", p.n);
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("e15: {msg}");
-    std::process::exit(2);
 }

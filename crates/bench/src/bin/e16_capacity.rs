@@ -8,7 +8,7 @@
 //! byte-identical across runs; ci.sh runs the binary twice and diffs
 //! both. Exits non-zero when the overload-control gates fail.
 
-use lc_bench::e16;
+use lc_bench::{die, e16, write_artefacts};
 
 fn main() {
     let mut max_rate: Option<f64> = None;
@@ -17,13 +17,13 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--max-rate" => {
-                let Some(v) = args.next() else { die("--max-rate needs a value") };
+                let Some(v) = args.next() else { die("e16", "--max-rate needs a value") };
                 match v.parse::<f64>() {
                     Ok(r) if r > 0.0 => max_rate = Some(r),
-                    _ => die("--max-rate must be a positive number"),
+                    _ => die("e16", "--max-rate must be a positive number"),
                 }
             }
-            _ if a.starts_with("--") => die(&format!("unknown flag {a}")),
+            _ if a.starts_with("--") => die("e16", &format!("unknown flag {a}")),
             _ => path = Some(a),
         }
     }
@@ -31,10 +31,7 @@ fn main() {
 
     let out = e16::run_limited(16, max_rate);
     print!("{}", out.report);
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("e16: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
+    write_artefacts("e16", &[(&path, &out.json)]);
     // Stdout stays byte-identical regardless of the target path (ci.sh
     // diffs two runs writing to different files).
     println!("\nsummary: {} bytes of JSON written", out.json.len());
@@ -42,9 +39,4 @@ fn main() {
         eprintln!("e16: overload-control gates FAILED");
         std::process::exit(1);
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("e16: {msg}");
-    std::process::exit(2);
 }

@@ -26,7 +26,8 @@
 //! must also return the *same normalized offer sets* as the baseline —
 //! the report asserts it; `cache_equiv.rs` pins it as a test.
 
-use crate::{f2, format_table, human_bytes};
+use crate::json::{Obj, SCHEMA_VERSION};
+use crate::{f2, format_table, human_bytes, Output};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{NodeCmd, QueryResult};
@@ -76,14 +77,6 @@ pub struct VariantResult {
     /// Normalized result sets, one per query, for equivalence checks:
     /// sorted `(node, component, version)` triples.
     pub result_sets: Vec<Vec<(u32, String, String)>>,
-}
-
-/// Both artefacts of one E12 run.
-pub struct E12Output {
-    /// Human-readable report.
-    pub report: String,
-    /// Machine-readable summary (sorted keys, stable formatting).
-    pub json: String,
 }
 
 fn config(cache: Option<CacheConfig>) -> NodeConfig {
@@ -212,41 +205,35 @@ pub fn run_variant(name: &'static str, cache: Option<CacheConfig>, seed: u64) ->
     }
 }
 
-/// Render the machine-readable summary: one JSON object, keys sorted,
-/// floats at fixed precision — byte-stable across runs.
+/// The JSON artefact (`BENCH_e12.json`), byte-stable across runs.
 fn render_json(variants: &[VariantResult], reduction: f64, equivalent: bool) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"equivalent_result_sets\": {equivalent},");
-    let _ = writeln!(j, "  \"experiment\": \"e12_cache_perf\",");
-    let _ = writeln!(j, "  \"msgs_per_query_reduction\": {},", f2(reduction));
-    let _ = writeln!(j, "  \"nodes\": {N},");
-    let _ = writeln!(j, "  \"queries\": {},", variants[0].queries);
-    let _ = writeln!(j, "  \"schema_version\": 1,");
-    let _ = writeln!(j, "  \"variants\": [");
-    for (i, v) in variants.iter().enumerate() {
-        let comma = if i + 1 < variants.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"batch_frames\": {},", v.batch_frames);
-        let _ = writeln!(j, "      \"batch_saved_bytes\": {},", v.batch_saved);
-        let _ = writeln!(j, "      \"cache_hits\": {},", v.cache_hits);
-        let _ = writeln!(j, "      \"cache_misses\": {},", v.cache_misses);
-        let _ = writeln!(j, "      \"coalesced\": {},", v.coalesced);
-        let _ = writeln!(j, "      \"first_offer_ms\": {},", f2(v.first_offer_ms));
-        let _ = writeln!(j, "      \"hit_rate\": {},", f2(v.hit_rate));
-        let _ = writeln!(j, "      \"hotspot_recv_bytes\": {},", v.hotspot_recv);
-        let _ = writeln!(j, "      \"invalidated_entries\": {},", v.invalidated);
-        let _ = writeln!(j, "      \"msgs_per_query\": {},", f2(v.msgs_per_query));
-        let _ = writeln!(j, "      \"name\": \"{}\"", v.name);
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+    let variant = |v: &VariantResult| {
+        Obj::new()
+            .int("batch_frames", v.batch_frames)
+            .int("batch_saved_bytes", v.batch_saved)
+            .int("cache_hits", v.cache_hits)
+            .int("cache_misses", v.cache_misses)
+            .int("coalesced", v.coalesced)
+            .f2("first_offer_ms", v.first_offer_ms)
+            .f2("hit_rate", v.hit_rate)
+            .int("hotspot_recv_bytes", v.hotspot_recv)
+            .int("invalidated_entries", v.invalidated)
+            .f2("msgs_per_query", v.msgs_per_query)
+            .str("name", v.name)
+    };
+    Obj::new()
+        .bool("equivalent_result_sets", equivalent)
+        .str("experiment", "e12_cache_perf")
+        .f2("msgs_per_query_reduction", reduction)
+        .int("nodes", N)
+        .int("queries", variants[0].queries)
+        .int("schema_version", SCHEMA_VERSION)
+        .arr("variants", variants.iter().map(variant))
+        .render()
 }
 
 /// Run all four variants and render both artefacts.
-pub fn run(seed: u64) -> E12Output {
+pub fn run(seed: u64) -> Output {
     let variants = [
         run_variant("baseline", None, seed),
         run_variant(
@@ -326,7 +313,7 @@ pub fn run(seed: u64) -> E12Output {
         if equivalent { "yes" } else { "NO" },
     );
 
-    E12Output { report, json: render_json(&variants, reduction, equivalent) }
+    Output { report, json: render_json(&variants, reduction, equivalent) }
 }
 
 #[cfg(test)]

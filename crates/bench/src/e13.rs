@@ -18,15 +18,13 @@
 //! (campus columns + event-calendar arena). Every column except the
 //! `wall`-marked throughput ones derives from virtual time and
 //! counters, so two runs render byte-identical reports; ci.sh diffs a
-//! double run (wall lines filtered) and the committed `BENCH_e13.json`
-//! (`wall_` keys filtered).
+//! double run and the committed `BENCH_e13.json` with only the wall
+//! columns and `wall_` leaves masked.
 
-use crate::{f2, format_table, human_bytes};
+use crate::json::{Obj, SCHEMA_VERSION};
+use crate::{f2, format_table, human_bytes, Output};
 use lc_core::scale::{run_scale, ScaleConfig, ScaleReport, Variant};
 use std::fmt::Write as _;
-
-/// JSON schema version (bump when keys change; ci.sh pins the diff).
-pub const SCHEMA_VERSION: u32 = 1;
 
 /// Campus sizes swept (nodes).
 pub const SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -34,9 +32,7 @@ pub const SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
 /// Registry designs compared at every size.
 pub const VARIANTS: [Variant; 3] = [Variant::Hier, Variant::Flat, Variant::Strong];
 
-/// One sweep point plus its (caller-measured) wall-clock cost. The
-/// library never reads a clock — the binary times each point and passes
-/// the seconds in; tests pass `0.0`.
+/// One sweep point plus its wall-clock cost (see [`sweep`]).
 pub struct SweepPoint {
     /// Deterministic simulation results.
     pub report: ScaleReport,
@@ -61,56 +57,42 @@ pub fn grid(max_nodes: u32) -> Vec<(u32, Variant)> {
     g
 }
 
-/// Both artefacts of one E13 run.
-pub struct E13Output {
-    /// Human-readable report (wall columns marked `wall`).
-    pub report: String,
-    /// Machine-readable summary; volatile values only on `wall_` keys.
-    pub json: String,
-}
-
-/// Render the machine-readable summary: one JSON object, keys sorted,
-/// floats at fixed precision. Deterministic except `wall_` keys.
+/// The JSON artefact (`BENCH_e13.json`), deterministic except `wall_` keys.
 fn render_json(points: &[SweepPoint], seed: u64) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e13_scale_sweep\",");
-    let max_n = points.iter().map(|p| p.report.n).max().unwrap_or(0);
-    let _ = writeln!(j, "  \"max_nodes\": {max_n},");
-    let _ = writeln!(j, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
+    let point = |p: &SweepPoint| {
         let r = &p.report;
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"bytes_per_node\": {},", f2(r.bytes_per_node));
-        let _ = writeln!(j, "      \"campus_bytes\": {},", r.campus_bytes);
-        let _ = writeln!(j, "      \"churn_msgs_per_event\": {},", f2(r.churn_msgs_per_event));
-        let _ = writeln!(j, "      \"depth\": {},", r.depth);
-        let _ = writeln!(j, "      \"escalations\": {},", r.escalations);
-        let _ = writeln!(j, "      \"events\": {},", r.events);
-        let _ = writeln!(j, "      \"groups\": {},", r.groups);
-        let _ = writeln!(j, "      \"latency_p50_ns\": {},", r.latency_p50_ns);
-        let _ = writeln!(j, "      \"latency_p99_ns\": {},", r.latency_p99_ns);
-        let _ = writeln!(j, "      \"msgs_per_query\": {},", f2(r.msgs_per_query));
-        let _ = writeln!(j, "      \"n\": {},", r.n);
-        let _ = writeln!(j, "      \"nodes_materialized\": {},", r.nodes_materialized);
-        let _ = writeln!(j, "      \"queries_completed\": {},", r.queries_completed);
-        let _ = writeln!(j, "      \"queue_bytes\": {},", r.queue_bytes);
-        let _ = writeln!(j, "      \"variant\": \"{}\",", r.variant);
         let eps = if p.wall_s > 0.0 { r.events as f64 / p.wall_s } else { 0.0 };
-        let _ = writeln!(j, "      \"wall_events_per_sec\": {},", f2(eps));
-        let _ = writeln!(j, "      \"wall_ms\": {}", f2(p.wall_s * 1e3));
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(j, "  \"seed\": {seed}");
-    let _ = writeln!(j, "}}");
-    j
+        Obj::new()
+            .f2("bytes_per_node", r.bytes_per_node)
+            .int("campus_bytes", r.campus_bytes)
+            .f2("churn_msgs_per_event", r.churn_msgs_per_event)
+            .int("depth", r.depth)
+            .int("escalations", r.escalations)
+            .int("events", r.events)
+            .int("groups", r.groups)
+            .int("latency_p50_ns", r.latency_p50_ns)
+            .int("latency_p99_ns", r.latency_p99_ns)
+            .f2("msgs_per_query", r.msgs_per_query)
+            .int("n", r.n)
+            .int("nodes_materialized", r.nodes_materialized)
+            .int("queries_completed", r.queries_completed)
+            .int("queue_bytes", r.queue_bytes)
+            .str("variant", r.variant)
+            .wall("events_per_sec", eps)
+            .wall("ms", p.wall_s * 1e3)
+    };
+    let max_n = points.iter().map(|p| p.report.n).max().unwrap_or(0);
+    Obj::new()
+        .str("experiment", "e13_scale_sweep")
+        .int("max_nodes", max_n)
+        .arr("points", points.iter().map(point))
+        .int("schema_version", SCHEMA_VERSION)
+        .int("seed", seed)
+        .render()
 }
 
 /// Render both artefacts from completed sweep points.
-pub fn render(points: &[SweepPoint], seed: u64) -> E13Output {
+pub fn render(points: &[SweepPoint], seed: u64) -> Output {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -185,7 +167,7 @@ pub fn render(points: &[SweepPoint], seed: u64) -> E13Output {
             );
         }
     }
-    E13Output { report, json: render_json(points, seed) }
+    Output { report, json: render_json(points, seed) }
 }
 
 /// Human-readable events/sec (volatile — only used on wall columns).
@@ -199,14 +181,22 @@ fn human_events_per_sec(eps: f64) -> String {
     }
 }
 
-/// Run the whole (capped) sweep untimed — the deterministic core the
-/// tests and the double-run CI gate exercise.
-pub fn run_untimed(seed: u64, max_nodes: u32) -> E13Output {
-    let points: Vec<SweepPoint> = grid(max_nodes)
-        .into_iter()
-        .map(|(n, v)| SweepPoint { report: run_point(n, v, seed), wall_s: 0.0 })
-        .collect();
-    render(&points, seed)
+/// Run the (capped) sweep, timing each point with `clock` (seconds
+/// from any fixed origin): the binary passes a wall clock, tests a
+/// constant, so the library never reads one.
+pub fn sweep(seed: u64, max_nodes: u32, mut clock: impl FnMut() -> f64) -> Vec<SweepPoint> {
+    let mut points = Vec::new();
+    for (n, variant) in grid(max_nodes) {
+        let t0 = clock();
+        let report = run_point(n, variant, seed);
+        points.push(SweepPoint { report, wall_s: clock() - t0 });
+    }
+    points
+}
+
+/// The sweep untimed — the deterministic core the tests exercise.
+pub fn run_untimed(seed: u64, max_nodes: u32) -> Output {
+    render(&sweep(seed, max_nodes, || 0.0), seed)
 }
 
 #[cfg(test)]

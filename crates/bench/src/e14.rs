@@ -27,7 +27,8 @@
 //! time, so two runs render byte-identical reports (ci.sh diffs a
 //! double run with wall columns masked).
 
-use crate::{f2, format_table, human_bytes};
+use crate::json::{Obj, SCHEMA_VERSION};
+use crate::{f2, format_table, human_bytes, Output};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
 use lc_core::node::{NodeCmd, QueryResult, RegistryConfig};
@@ -40,9 +41,6 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// JSON schema version (bump when keys change; ci.sh pins the diff).
-pub const SCHEMA_VERSION: u32 = 1;
 
 /// Distinct components spread over the shard space.
 const COMPONENTS: u32 = 32;
@@ -300,8 +298,7 @@ pub fn run_point(point: Point, seed: u64, leader: Option<HostId>) -> VariantResu
     }
 }
 
-/// One sweep point plus its (caller-measured) wall-clock cost; the
-/// library never reads a clock — tests pass `0.0`.
+/// One sweep point plus its wall-clock cost (see [`sweep`]).
 pub struct SweepPoint {
     /// Deterministic simulation result.
     pub result: VariantResult,
@@ -309,17 +306,9 @@ pub struct SweepPoint {
     pub wall_s: f64,
 }
 
-/// Both artefacts of one E14 run.
-pub struct E14Output {
-    /// Human-readable report (wall column marked `wall`).
-    pub report: String,
-    /// Machine-readable summary; volatile values only on `wall_` keys.
-    pub json: String,
-}
-
 /// The former-leader reduction of a sharded point against its
 /// size-matched single-leader row.
-fn reduction(points: &[SweepPoint], p: &VariantResult) -> f64 {
+pub fn reduction(points: &[SweepPoint], p: &VariantResult) -> f64 {
     let single = points
         .iter()
         .find(|s| s.result.point.nodes == p.point.nodes && s.result.point.shards == 0)
@@ -327,44 +316,38 @@ fn reduction(points: &[SweepPoint], p: &VariantResult) -> f64 {
     single as f64 / (p.leader_recv.max(1)) as f64
 }
 
-/// Render the machine-readable summary: one JSON object, keys sorted,
-/// floats at fixed precision. Deterministic except `wall_` keys.
+/// The JSON artefact (`BENCH_e14.json`), deterministic except `wall_` keys.
 fn render_json(points: &[SweepPoint], seed: u64) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e14_sharded_registry\",");
-    let _ = writeln!(j, "  \"queries_per_variant\": {QUERIES},");
-    let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(j, "  \"seed\": {seed},");
-    let _ = writeln!(j, "  \"variants\": [");
-    for (i, p) in points.iter().enumerate() {
+    let variant = |p: &SweepPoint| {
         let r = &p.result;
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"answered\": {},", f2(r.answered));
-        let _ = writeln!(j, "      \"backend\": \"{}\",", backend_label(&r.point));
-        let _ = writeln!(j, "      \"crashes\": {},", r.crashes);
-        let _ = writeln!(j, "      \"former_leader_recv_bytes\": {},", r.leader_recv);
-        let _ = writeln!(j, "      \"former_leader_reduction\": {},", f2(reduction(points, r)));
-        let _ = writeln!(j, "      \"gossip_msgs\": {},", r.gossip_msgs);
-        let _ = writeln!(j, "      \"hotspot_host\": {},", r.hotspot.0);
-        let _ = writeln!(j, "      \"hotspot_recv_bytes\": {},", r.hotspot_recv);
-        let _ = writeln!(j, "      \"msgs_per_query\": {},", f2(r.msgs_per_query));
-        let _ = writeln!(j, "      \"nodes\": {},", r.point.nodes);
-        let _ = writeln!(j, "      \"p50_ms\": {},", f2(r.p50_ms));
-        let _ = writeln!(j, "      \"p99_ms\": {},", f2(r.p99_ms));
-        let _ = writeln!(j, "      \"shard_hops\": {},", r.shard_hops);
-        let _ = writeln!(j, "      \"shards\": {},", r.point.shards);
-        let _ = writeln!(j, "      \"wall_ms\": {}", f2(p.wall_s * 1e3));
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+        Obj::new()
+            .f2("answered", r.answered)
+            .str("backend", &backend_label(&r.point))
+            .int("crashes", r.crashes)
+            .int("former_leader_recv_bytes", r.leader_recv)
+            .f2("former_leader_reduction", reduction(points, r))
+            .int("gossip_msgs", r.gossip_msgs)
+            .int("hotspot_host", r.hotspot.0)
+            .int("hotspot_recv_bytes", r.hotspot_recv)
+            .f2("msgs_per_query", r.msgs_per_query)
+            .int("nodes", r.point.nodes)
+            .f2("p50_ms", r.p50_ms)
+            .f2("p99_ms", r.p99_ms)
+            .int("shard_hops", r.shard_hops)
+            .int("shards", r.point.shards)
+            .wall("ms", p.wall_s * 1e3)
+    };
+    Obj::new()
+        .str("experiment", "e14_sharded_registry")
+        .int("queries_per_variant", QUERIES)
+        .int("schema_version", SCHEMA_VERSION)
+        .int("seed", seed)
+        .arr("variants", points.iter().map(variant))
+        .render()
 }
 
 /// Render both artefacts from completed sweep points.
-pub fn render(points: &[SweepPoint], seed: u64) -> E14Output {
+pub fn render(points: &[SweepPoint], seed: u64) -> Output {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -430,25 +413,31 @@ pub fn render(points: &[SweepPoint], seed: u64) -> E14Output {
             f2(s4.result.p99_ms),
         );
     }
-    E14Output { report, json: render_json(points, seed) }
+    Output { report, json: render_json(points, seed) }
 }
 
-/// Run the whole (capped) sweep untimed — the deterministic core the
-/// tests and the double-run CI gate exercise. The single-leader row of
+/// Run the (capped) sweep, timing each point with `clock` (seconds
+/// from any fixed origin): the binary passes a wall clock, tests a
+/// constant, so the library never reads one. The single-leader row of
 /// each size runs first so its hotspot (the former leader) can be
 /// re-measured under every shard count.
-pub fn run_untimed(seed: u64, max_nodes: u32) -> E14Output {
+pub fn sweep(seed: u64, max_nodes: u32, mut clock: impl FnMut() -> f64) -> Vec<SweepPoint> {
     let mut points: Vec<SweepPoint> = Vec::new();
-    let mut leaders: Vec<(u32, HostId)> = Vec::new();
     for p in grid(max_nodes) {
-        let leader = leaders.iter().find(|(n, _)| *n == p.nodes).map(|&(_, h)| h);
+        let leader = points
+            .iter()
+            .find(|s| s.result.point.nodes == p.nodes && s.result.point.shards == 0)
+            .map(|s| s.result.hotspot);
+        let t0 = clock();
         let result = run_point(p, seed, leader);
-        if p.shards == 0 {
-            leaders.push((p.nodes, result.hotspot));
-        }
-        points.push(SweepPoint { result, wall_s: 0.0 });
+        points.push(SweepPoint { result, wall_s: clock() - t0 });
     }
-    render(&points, seed)
+    points
+}
+
+/// The sweep untimed — the deterministic core the tests exercise.
+pub fn run_untimed(seed: u64, max_nodes: u32) -> Output {
+    render(&sweep(seed, max_nodes, || 0.0), seed)
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! `wall_` JSON keys is deterministic.
 
 use crate::e14;
+use crate::json::{Obj, SCHEMA_VERSION};
 use crate::{f2, format_table, human_bytes};
 use lc_core::node::{NodeCmd, QueryResult, RegistryConfig, TraceConfig};
 use lc_core::scale::{run_scale_profiled, ScaleConfig, ScaleReport, Variant};
@@ -44,9 +45,6 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// JSON schema version (bump when keys change; ci.sh pins the diff).
-pub const SCHEMA_VERSION: u32 = 1;
 
 /// Campus sizes profiled in part A (the `hier` scale-sweep points).
 pub const PROF_SIZES: [u32; 3] = [1_000, 10_000, 100_000];
@@ -337,54 +335,41 @@ pub fn overhead_pct(p: &ProfPoint) -> f64 {
     }
 }
 
-/// Render the machine-readable summary: one JSON object, keys sorted,
-/// floats at fixed precision. Deterministic except `wall_` keys.
+/// The JSON artefact (`BENCH_e15.json`), deterministic except `wall_` keys.
 fn render_json(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> String {
     let full = &runs[0];
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e15_profiling\",");
-    let _ = writeln!(j, "  \"profiler_points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
+    let point = |p: &ProfPoint| {
         let pr = &p.profile;
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"arena_bytes_max\": {},", pr.arena_bytes_max);
-        let _ = writeln!(j, "      \"depth_max\": {},", pr.depth_max);
-        let _ = writeln!(j, "      \"events\": {},", pr.events);
-        let _ = writeln!(j, "      \"identical\": {},", p.identical);
-        let _ = writeln!(j, "      \"n\": {},", p.n);
-        let _ = writeln!(j, "      \"queue_samples\": {},", pr.samples.len());
-        let _ = writeln!(j, "      \"samples_dropped\": {},", pr.samples_dropped);
-        let _ = writeln!(j, "      \"wall_off_ms\": {},", f2(p.wall_off_s * 1e3));
-        let _ = writeln!(j, "      \"wall_on_ms\": {},", f2(p.wall_on_s * 1e3));
-        let _ = writeln!(j, "      \"wall_overhead_pct\": {}", f2(overhead_pct(p)));
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(j, "  \"seed\": {seed},");
-    let _ = writeln!(j, "  \"traced\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"answered\": {},", r.answered);
-        let _ = writeln!(j, "      \"breaches\": {},", r.breaches);
-        let _ = writeln!(j, "      \"flight_events\": {},", r.flight_events);
-        let _ = writeln!(j, "      \"identical\": {},", r.fingerprint == full.fingerprint);
-        let _ = writeln!(
-            j,
-            "      \"prefix_closed_subset\": {},",
-            prefix_closed_subset(&r.spans, &full.spans)
-        );
-        let _ = writeln!(j, "      \"rate\": \"{}\",", r.label);
-        let _ = writeln!(j, "      \"spans\": {},", r.spans.len());
-        let _ = writeln!(j, "      \"traces\": {}", r.traces);
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+        Obj::new()
+            .int("arena_bytes_max", pr.arena_bytes_max)
+            .int("depth_max", pr.depth_max)
+            .int("events", pr.events)
+            .bool("identical", p.identical)
+            .int("n", p.n)
+            .int("queue_samples", pr.samples.len())
+            .int("samples_dropped", pr.samples_dropped)
+            .wall("off_ms", p.wall_off_s * 1e3)
+            .wall("on_ms", p.wall_on_s * 1e3)
+            .wall("overhead_pct", overhead_pct(p))
+    };
+    let traced = |r: &TracedRun| {
+        Obj::new()
+            .int("answered", r.answered)
+            .int("breaches", r.breaches)
+            .int("flight_events", r.flight_events)
+            .bool("identical", r.fingerprint == full.fingerprint)
+            .bool("prefix_closed_subset", prefix_closed_subset(&r.spans, &full.spans))
+            .str("rate", r.label)
+            .int("spans", r.spans.len())
+            .int("traces", r.traces)
+    };
+    Obj::new()
+        .str("experiment", "e15_profiling")
+        .arr("profiler_points", points.iter().map(point))
+        .int("schema_version", SCHEMA_VERSION)
+        .int("seed", seed)
+        .arr("traced", runs.iter().map(traced))
+        .render()
 }
 
 /// Render every artefact from completed parts A and B. `runs[0]` must
@@ -475,21 +460,28 @@ pub fn render(points: &[ProfPoint], runs: &[TracedRun], seed: u64) -> E15Output 
     }
 }
 
-/// Run the whole (capped) experiment untimed — the deterministic core
-/// the tests and the double-run CI gate exercise.
-pub fn run_untimed(seed: u64, max_nodes: u32) -> E15Output {
-    let points: Vec<ProfPoint> = prof_grid(max_nodes)
-        .into_iter()
-        .map(|n| {
-            let off = run_off(n, seed);
-            let (on, profile) = run_on(n, seed);
-            let identical = off == on;
-            ProfPoint { n, report: off, profile, identical, wall_off_s: 0.0, wall_on_s: 0.0 }
-        })
-        .collect();
-    let runs: Vec<TracedRun> =
-        RATES.iter().map(|&(label, one_in)| run_traced(seed, label, one_in)).collect();
-    render(&points, &runs, seed)
+/// Run the (capped) part-A sweep, timing the off and on runs with
+/// `clock` (seconds from any fixed origin; the library never reads
+/// one). One warm-up off-run per point keeps allocator state from
+/// billing the first measurement.
+pub fn sweep(seed: u64, max_nodes: u32, mut clock: impl FnMut() -> f64) -> Vec<ProfPoint> {
+    let mut points = Vec::new();
+    for n in prof_grid(max_nodes) {
+        let _ = run_off(n, seed);
+        let t0 = clock();
+        let off = run_off(n, seed);
+        let t1 = clock();
+        let (on, profile) = run_on(n, seed);
+        let (wall_off_s, wall_on_s) = (t1 - t0, clock() - t1);
+        let identical = off == on;
+        points.push(ProfPoint { n, report: off, profile, identical, wall_off_s, wall_on_s });
+    }
+    points
+}
+
+/// One traced run per sampling rate in [`RATES`].
+pub fn traced_runs(seed: u64) -> Vec<TracedRun> {
+    RATES.iter().map(|&(label, one_in)| run_traced(seed, label, one_in)).collect()
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 //! Everything reported derives from virtual time, so report and JSON
 //! are byte-identical across runs (ci.sh double-runs and diffs).
 
+use crate::json::{Obj, SCHEMA_VERSION};
 use crate::{f2, format_table};
 use lc_core::cohesion::CohesionConfig;
 use lc_core::demo;
@@ -342,52 +343,44 @@ fn run_replication(seed: u64) -> ReplicationResult {
     }
 }
 
+/// The JSON artefact (`BENCH_e16.json`), byte-stable across runs.
 fn render_json(curves: &[ShapeCurve], rep: &ReplicationResult, gates_ok: bool) -> String {
-    let mut j = String::new();
-    let headline = &curves[0];
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"e16_capacity\",");
-    let _ = writeln!(j, "  \"gates_ok\": {gates_ok},");
-    let _ = writeln!(j, "  \"headline_knee_goodput_per_sec\": {},", f2(headline.knee_goodput));
-    let _ = writeln!(j, "  \"headline_knee_offered_per_sec\": {},", f2(headline.knee_offered));
-    let _ = writeln!(j, "  \"nodes\": {N},");
-    let _ = writeln!(j, "  \"replication\": {{");
-    let _ = writeln!(j, "    \"gain\": {},", f2(rep.gain));
-    let _ = writeln!(j, "    \"goodput_off_per_sec\": {},", f2(rep.goodput_off));
-    let _ = writeln!(j, "    \"goodput_on_per_sec\": {},", f2(rep.goodput_on));
-    let _ = writeln!(j, "    \"replicas_spawned\": {}", rep.replicas);
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"schema_version\": 1,");
-    let _ = writeln!(j, "  \"shapes\": [");
-    for (i, c) in curves.iter().enumerate() {
-        let comma = if i + 1 < curves.len() { "," } else { "" };
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"curve\": [");
-        for (k, p) in c.points.iter().enumerate() {
-            let pc = if k + 1 < c.points.len() { "," } else { "" };
-            let _ = writeln!(j, "        {{");
-            let _ = writeln!(j, "          \"first_offer_p50_ms\": {},", f2(p.shed.first_offer_p50_ms));
-            let _ = writeln!(j, "          \"goodput_noshed_per_sec\": {},", f2(p.noshed.goodput_per_sec));
-            let _ = writeln!(j, "          \"goodput_shed_per_sec\": {},", f2(p.shed.goodput_per_sec));
-            let _ = writeln!(j, "          \"offered_per_sec\": {},", f2(p.shed.offered_per_sec));
-            let _ = writeln!(j, "          \"overload_replies\": {},", p.shed.overload);
-            let _ = writeln!(j, "          \"p50_ms\": {},", f2(p.shed.p50_ms));
-            let _ = writeln!(j, "          \"p999_ms\": {},", f2(p.shed.p999_ms));
-            let _ = writeln!(j, "          \"p99_ms\": {},", f2(p.shed.p99_ms));
-            let _ = writeln!(j, "          \"timeouts_noshed\": {}", p.noshed.timeout);
-            let _ = writeln!(j, "        }}{pc}");
-        }
-        let _ = writeln!(j, "      ],");
-        let _ = writeln!(j, "      \"knee_goodput_per_sec\": {},", f2(c.knee_goodput));
-        let _ = writeln!(j, "      \"knee_offered_per_sec\": {},", f2(c.knee_offered));
-        let _ = writeln!(j, "      \"name\": \"{}\",", c.name);
-        let _ = writeln!(j, "      \"post_knee_noshed_retention\": {},", f2(c.noshed_retention));
-        let _ = writeln!(j, "      \"post_knee_shed_retention\": {}", f2(c.shed_retention));
-        let _ = writeln!(j, "    }}{comma}");
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+    let point = |p: &CurvePoint| {
+        Obj::new()
+            .f2("first_offer_p50_ms", p.shed.first_offer_p50_ms)
+            .f2("goodput_noshed_per_sec", p.noshed.goodput_per_sec)
+            .f2("goodput_shed_per_sec", p.shed.goodput_per_sec)
+            .f2("offered_per_sec", p.shed.offered_per_sec)
+            .int("overload_replies", p.shed.overload)
+            .f2("p50_ms", p.shed.p50_ms)
+            .f2("p999_ms", p.shed.p999_ms)
+            .f2("p99_ms", p.shed.p99_ms)
+            .int("timeouts_noshed", p.noshed.timeout)
+    };
+    let shape = |c: &ShapeCurve| {
+        Obj::new()
+            .arr("curve", c.points.iter().map(point))
+            .f2("knee_goodput_per_sec", c.knee_goodput)
+            .f2("knee_offered_per_sec", c.knee_offered)
+            .str("name", c.name)
+            .f2("post_knee_noshed_retention", c.noshed_retention)
+            .f2("post_knee_shed_retention", c.shed_retention)
+    };
+    let replication = Obj::new()
+        .f2("gain", rep.gain)
+        .f2("goodput_off_per_sec", rep.goodput_off)
+        .f2("goodput_on_per_sec", rep.goodput_on)
+        .int("replicas_spawned", rep.replicas);
+    Obj::new()
+        .str("experiment", "e16_capacity")
+        .bool("gates_ok", gates_ok)
+        .f2("headline_knee_goodput_per_sec", curves[0].knee_goodput)
+        .f2("headline_knee_offered_per_sec", curves[0].knee_offered)
+        .int("nodes", N)
+        .obj("replication", replication)
+        .int("schema_version", SCHEMA_VERSION)
+        .arr("shapes", curves.iter().map(shape))
+        .render()
 }
 
 /// Run the sweep with a rate cap (smoke mode); `None` = full matrix.

@@ -14,7 +14,17 @@ pub mod e13;
 pub mod e14;
 pub mod e15;
 pub mod e16;
+pub(crate) mod json;
 pub mod micro;
+
+/// What one experiment run renders: the printed report and its JSON
+/// artefact.
+pub struct Output {
+    /// Human-readable report; any wall-clock column is marked `wall`.
+    pub report: String,
+    /// The JSON artefact, rendered by `json::Obj`.
+    pub json: String,
+}
 
 /// Render a titled ASCII table with aligned columns.
 pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -67,6 +77,54 @@ pub fn human_bytes(b: u64) -> String {
         format!("{:.1} KiB", b as f64 / 1024.0)
     } else {
         format!("{b} B")
+    }
+}
+
+/// Print `{tag}: {msg}` and exit 2 (a bad command line).
+pub fn die(tag: &str, msg: &str) -> ! {
+    eprintln!("{tag}: {msg}");
+    std::process::exit(2);
+}
+
+/// Write each `(path, body)` artefact, or exit 1 naming the file.
+pub fn write_artefacts(tag: &str, files: &[(&str, &str)]) {
+    for (path, body) in files {
+        if let Err(e) = std::fs::write(path, body) {
+            eprintln!("{tag}: failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Command line of the sweep drivers E13–E15:
+/// `[--max-nodes N] [GATE_FLAG T] [JSON_PATH]`.
+pub struct SweepArgs {
+    /// Largest sweep point.
+    pub max_nodes: u32,
+    /// The threshold given with the driver's gate flag, if any.
+    pub gate: Option<f64>,
+    /// JSON artefact path (default `target/BENCH_{tag}.json`).
+    pub path: String,
+}
+
+impl SweepArgs {
+    /// Parse the process arguments; a bad value exits through [`die`].
+    pub fn parse(tag: &str, gate_flag: &str, max_nodes: u32) -> SweepArgs {
+        let mut out = SweepArgs { max_nodes, gate: None, path: format!("target/BENCH_{tag}.json") };
+        let mut args = std::env::args().skip(1);
+        while let Some(a) = args.next() {
+            if a == "--max-nodes" {
+                let v = args.next().unwrap_or_default();
+                out.max_nodes =
+                    v.parse().unwrap_or_else(|_| die(tag, &format!("bad --max-nodes {v}")));
+            } else if a == gate_flag {
+                let v = args.next().unwrap_or_default();
+                out.gate = Some(v.parse().unwrap_or_else(|_| die(tag, &format!("bad gate {v}"))));
+            } else {
+                out.path = a;
+            }
+        }
+        out
     }
 }
 

@@ -33,7 +33,7 @@ use super::shape::HierShape;
 use super::soa::{CampusSoa, FLAG_OWNER_C0, FLAG_OWNER_C1};
 use super::NodeIdx;
 use lc_des::{Actor, AnyMsg, Ctx, Sim, SimTime};
-use lc_trace::{CounterId, DenseCounters, ReservoirHistogram, ShardedCounter};
+use lc_trace::{CounterId, DenseCounters, ReservoirHistogram};
 
 /// Components the sweep queries for; node `i` owns component `c` iff
 /// `i % 256 == OWNER_RESIDUE[c]` (≈ one owner per 128 nodes overall).
@@ -212,8 +212,6 @@ pub struct ScaleCampus {
     queries: Vec<QueryState>,
     counters: DenseCounters,
     ids: Cids,
-    /// Per-destination traffic, folded into 64 shards.
-    traffic: ShardedCounter,
     /// First-offer latency (virtual ns), bounded reservoir.
     latency: ReservoirHistogram,
     /// Reports stop rescheduling at this time.
@@ -263,7 +261,6 @@ impl ScaleCampus {
             owners,
             counters,
             ids,
-            traffic: ShardedCounter::new(),
             latency: ReservoirHistogram::new(512),
             t_end,
             cfg,
@@ -290,14 +287,10 @@ impl ScaleCampus {
                 }
                 let replicas = self.shape.mrms(0, g).count() as u64;
                 self.counters.add(self.ids.report_msgs, replicas);
-                for m in self.shape.mrms(0, g).collect::<Vec<_>>() {
-                    self.traffic.add(m as usize, 1);
-                }
             }
             Variant::Flat | Variant::Strong => {
                 // Reports/heartbeats all land on the central node.
                 self.counters.add(self.ids.report_msgs, 1);
-                self.traffic.add(0, 1);
             }
         }
         let me = ctx.me();
@@ -322,7 +315,6 @@ impl ScaleCampus {
                 }
                 let parent_replicas = self.shape.mrms(pl, pg).count() as u64;
                 self.counters.add(self.ids.summary_msgs, parent_replicas);
-                self.traffic.add(self.shape.primary(pl, pg) as usize, 1);
             }
             let me = ctx.me();
             if ctx.now() + self.cfg.report_period < self.t_end {
@@ -348,20 +340,19 @@ impl ScaleCampus {
         match self.cfg.variant {
             Variant::Hier => {
                 let g = self.shape.leaf_group_of(u64::from(origin)) as u32;
-                self.count_query_msg(qid, self.shape.primary(0, u64::from(g)) as usize);
+                self.count_query_msg(qid);
                 ctx.send_packed(HOP, me, pack(K_QUERY_UP, g, query_aux(qid, 0)));
             }
             Variant::Flat | Variant::Strong => {
-                self.count_query_msg(qid, 0);
+                self.count_query_msg(qid);
                 ctx.send_packed(HOP, me, pack(K_QUERY_UP, 0, query_aux(qid, 0)));
             }
         }
     }
 
-    fn count_query_msg(&mut self, qid: u32, dest: usize) {
+    fn count_query_msg(&mut self, qid: u32) {
         self.queries[qid as usize].msgs += 1;
         self.counters.incr(self.ids.query_msgs);
-        self.traffic.add(dest, 1);
     }
 
     /// Query routing at an MRM seat — `descending=false` is the ascend
@@ -380,12 +371,11 @@ impl ScaleCampus {
                         }
                         if level == 0 {
                             let member = self.shape.member(0, u64::from(g), j) as u32;
-                            self.count_query_msg(qid, member as usize);
+                            self.count_query_msg(qid);
                             ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
                         } else {
                             let child = (u64::from(g) * self.shape.fanout() + j) as u32;
-                            let child_primary = self.shape.primary(level - 1, u64::from(child));
-                            self.count_query_msg(qid, child_primary as usize);
+                            self.count_query_msg(qid);
                             ctx.send_packed(
                                 HOP,
                                 me,
@@ -397,7 +387,7 @@ impl ScaleCampus {
                     if let Some((pl, pg)) = self.shape.parent(level, u64::from(g)) {
                         self.queries[qid as usize].escalations += 1;
                         self.counters.incr(self.ids.escalations);
-                        self.count_query_msg(qid, self.shape.primary(pl, pg) as usize);
+                        self.count_query_msg(qid);
                         ctx.send_packed(HOP, me, pack(K_QUERY_UP, pg as u32, query_aux(qid, pl)));
                     } else {
                         self.send_query_done(ctx, qid);
@@ -413,7 +403,7 @@ impl ScaleCampus {
                     self.send_query_done(ctx, qid);
                 } else {
                     for member in owners {
-                        self.count_query_msg(qid, member as usize);
+                        self.count_query_msg(qid);
                         ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
                     }
                 }
@@ -422,7 +412,7 @@ impl ScaleCampus {
                 // Exact view: route to the single best owner.
                 match self.owners[comp].first().copied() {
                     Some(member) => {
-                        self.count_query_msg(qid, member as usize);
+                        self.count_query_msg(qid);
                         ctx.send_packed(HOP, me, pack(K_QUERY_MEMBER, member, qid));
                     }
                     None => self.send_query_done(ctx, qid),
@@ -433,7 +423,7 @@ impl ScaleCampus {
 
     fn send_query_done(&mut self, ctx: &mut Ctx<'_>, qid: u32) {
         let origin = self.queries[qid as usize].origin;
-        self.count_query_msg(qid, origin as usize);
+        self.count_query_msg(qid);
         let me = ctx.me();
         ctx.send_packed(HOP, me, pack(K_QUERY_DONE, origin, qid));
     }
@@ -443,7 +433,7 @@ impl ScaleCampus {
         // and answers the origin with an offer.
         self.soa.materialize(NodeIdx(member)).offers_served += 1;
         let origin = self.queries[qid as usize].origin;
-        self.count_query_msg(qid, origin as usize);
+        self.count_query_msg(qid);
         let me = ctx.me();
         ctx.send_packed(HOP, me, pack(K_OFFER, origin, qid));
     }
@@ -493,11 +483,9 @@ impl ScaleCampus {
         }
     }
 
-    fn on_view(&mut self, node: u32) {
+    fn on_view(&mut self) {
         // View install + ack back to the coordinator.
         self.counters.add(self.ids.churn_msgs, 2);
-        self.traffic.add(node as usize, 1);
-        self.traffic.add(0, 1);
     }
 
     /// Per-query outcomes, in query order (the lazy/eager oracle).
@@ -573,7 +561,7 @@ impl Actor for ScaleCampus {
             K_OFFER => self.on_offer(ctx, idx, aux),
             K_QUERY_DONE => { /* unresolved query returns to origin */ }
             K_CHURN => self.on_churn(ctx, idx),
-            K_VIEW => self.on_view(idx),
+            K_VIEW => self.on_view(),
             _ => debug_assert!(false, "unknown packed kind {kind}"),
         }
     }
@@ -622,10 +610,6 @@ pub struct ScaleReport {
     pub queue_bytes: usize,
     /// `(campus_bytes + queue_bytes) / n`.
     pub bytes_per_node: f64,
-    /// Busiest traffic shard (load concentration).
-    pub traffic_max_shard: u64,
-    /// Total message deliveries tallied.
-    pub traffic_total: u64,
     /// Median first-offer latency (virtual ns).
     pub latency_p50_ns: u64,
     /// 99th-percentile first-offer latency (virtual ns).
@@ -745,8 +729,6 @@ pub fn run_scale_profiled(
         campus_bytes,
         queue_bytes,
         bytes_per_node: (campus_bytes + queue_bytes) as f64 / f64::from(cfg.n),
-        traffic_max_shard: campus.traffic.max_shard(),
-        traffic_total: campus.traffic.total(),
         latency_p50_ns: latency.quantile(0.5),
         latency_p99_ns: latency.quantile(0.99),
         outcomes,

@@ -8,10 +8,6 @@
 //! * [`DenseCounters`] — counters pre-registered once into dense `u32`
 //!   ids; the hot path is a bounds-checked array add, no string hashing
 //!   or tree walk, and memory is O(distinct names), not O(nodes).
-//! * [`ShardedCounter`] — one logical counter split over a fixed power-
-//!   of-two shard array; per-node traffic tallies collapse into 64
-//!   cells instead of a million map entries, while still exposing which
-//!   region of the id space generated the load.
 //! * [`ReservoirHistogram`] — a fixed-size uniform sample of an
 //!   unbounded observation stream (Vitter's Algorithm R) driven by an
 //!   inline LCG, so memory is O(capacity) and two identical runs keep
@@ -86,54 +82,6 @@ impl DenseCounters {
     /// Any counters registered?
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-}
-
-/// One logical counter split across a fixed power-of-two number of
-/// shards keyed by a caller-supplied hint (node index, host id, …).
-///
-/// A million per-node tallies become `SHARDS` cells: constant memory,
-/// and the shard profile still shows *where* in the id space the load
-/// landed (the E13 hotspot column reads the maximum shard).
-#[derive(Clone, Debug)]
-pub struct ShardedCounter {
-    shards: Box<[u64; ShardedCounter::SHARDS]>,
-}
-
-impl Default for ShardedCounter {
-    fn default() -> Self {
-        ShardedCounter::new()
-    }
-}
-
-impl ShardedCounter {
-    /// Number of shards (power of two so the hint folds with a mask).
-    pub const SHARDS: usize = 64;
-
-    /// All shards zero.
-    pub fn new() -> ShardedCounter {
-        ShardedCounter { shards: Box::new([0; ShardedCounter::SHARDS]) }
-    }
-
-    /// Add `n` under `hint` (any dense id; folded by mask).
-    #[inline]
-    pub fn add(&mut self, hint: usize, n: u64) {
-        self.shards[hint & (ShardedCounter::SHARDS - 1)] += n;
-    }
-
-    /// Sum over all shards.
-    pub fn total(&self) -> u64 {
-        self.shards.iter().sum()
-    }
-
-    /// Largest single shard (load-concentration indicator).
-    pub fn max_shard(&self) -> u64 {
-        self.shards.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Per-shard values.
-    pub fn shards(&self) -> &[u64] {
-        &self.shards[..]
     }
 }
 
@@ -280,23 +228,6 @@ mod tests {
             vec![("query.msgs", 1), ("query.hops", 42)]
         );
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn sharded_counter_folds_hints_and_totals() {
-        let mut s = ShardedCounter::new();
-        for node in 0..1_000_000usize {
-            s.add(node, 1);
-        }
-        assert_eq!(s.total(), 1_000_000);
-        // 1M uniform ids spread exactly evenly over the 64 shards.
-        assert_eq!(s.max_shard(), 15_625);
-        assert_eq!(s.shards().len(), ShardedCounter::SHARDS);
-        // Hint folding: 0 and 64 share a shard.
-        let mut t = ShardedCounter::new();
-        t.add(0, 5);
-        t.add(64, 7);
-        assert_eq!(t.shards()[0], 12);
     }
 
     #[test]
